@@ -19,9 +19,11 @@ This benchmark drives the real active loop on the SQLite subject (budget
 It asserts a >= 3x median speedup (>= 2x in quick mode, used by CI via
 ``RELEARN_BENCH_QUICK=1``) and that the incremental model is *identical*
 (structural Hamming distance 0) to a cold re-learn over all measurements.
-Per-iteration timings for the x264, SQLite and DeepStream subjects are
-written to ``benchmarks/results/incremental_relearn_timings.json`` so later
-PRs have a perf trajectory to compare against.
+The latest run's per-iteration timings for the x264, SQLite and
+DeepStream subjects are written to
+``benchmarks/results/incremental_relearn_timings.json`` as
+``{system: payload}`` — one fixed-size entry per subject, overwritten on
+every run; compare trajectories across commits with ``git diff``.
 """
 
 from __future__ import annotations
@@ -190,31 +192,19 @@ def _drive_loop(system, iterations: int, seed: int = 0,
 
 
 def _record(results: dict) -> None:
-    """Append this run's timing trajectories to the per-system histories.
+    """Store this run's timing trajectories as each system's latest entry.
 
-    The file keeps ``{system: {"runs": [payload, ...]}}`` — append-only,
-    so every PR's perf trajectory stays comparable against all earlier
-    ones instead of being overwritten (the pre-ISSUE-5 format, one
-    payload per system, is migrated into a one-element history).  Writes
-    go through :func:`conftest.write_results_json` for deterministic
-    (sorted, rounded) regeneration.
+    The file keeps ``{system: payload}``: a subject's entry is replaced,
+    the other subjects' entries are kept.  Writes go through
+    :func:`_results_io.write_results_json` for deterministic (sorted,
+    rounded) regeneration.
     """
     from _results_io import write_results_json
 
     RESULTS_PATH.parent.mkdir(exist_ok=True)
-    existing: dict = {}
-    if RESULTS_PATH.exists():
-        try:
-            existing = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    for system, payload in results.items():
-        history = existing.get(system)
-        if not isinstance(history, dict) or "runs" not in history:
-            history = {"runs": [history] if history else []}
-        history["runs"].append(payload)
-        existing[system] = history
-    write_results_json(RESULTS_PATH, existing)
+    existing = (json.loads(RESULTS_PATH.read_text())
+                if RESULTS_PATH.exists() else {})
+    write_results_json(RESULTS_PATH, {**existing, **results})
 
 
 # ---------------------------------------------------------------------------

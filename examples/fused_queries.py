@@ -1,14 +1,14 @@
-"""Fused-query walkthrough: scalar vs per-node batched vs fused timings.
+"""Fused-query walkthrough: scalar oracle vs fused timings.
 
 This is the `docs/query-api.md` "Fused execution and cross-request
 memoization" companion.  It
 
 1. fits a causal performance model of the SQLite subject and builds the
    pinned 256-candidate repair scan the benchmarks gate on,
-2. runs the scan through the three propagation paths — the scalar
-   oracle, the per-node batched evaluator and the fused per-level GEMM
-   programs — verifying all three produce the identical repair ranking,
-3. times warm repeated scans of each path (the steady serving state:
+2. runs the scan through the scalar oracle and through the fused
+   per-level GEMM programs, verifying both produce the identical repair
+   ranking,
+3. times warm repeated scans of both paths (the steady serving state:
    compiled programs, memoized candidate grids, scalar-fold memos),
 4. serves the same repair query twice through a ``QueryService`` and
    shows the second answer coming from the cross-request result cache
@@ -79,22 +79,19 @@ def main() -> None:
             max_combined_options=5, max_repairs=N_CANDIDATES,
             evaluator=evaluator, plan=plan)
 
-    fused = BatchedFittedModel(model, fused=True)
-    pernode = BatchedFittedModel(model, fused=False)
-    fused_plan, pernode_plan = QueryPlan(model.dag), QueryPlan(model.dag)
+    fused = BatchedFittedModel(model)
+    fused_plan = QueryPlan(model.dag)
 
-    # -------------------------------------- identical rankings, three ways
+    # --------------------------------------------------- identical rankings
     scalar_set = scan(None, None)
-    pernode_set = scan(pernode, pernode_plan)
     fused_set = scan(fused, fused_plan)
     identical = ([r.changes for r in fused_set]
-                 == [r.changes for r in pernode_set]
                  == [r.changes for r in scalar_set])
     max_diff = max(abs(f.ice - s.ice)
                    for f, s in zip(fused_set, scalar_set))
     best = fused_set.best()
     print(f"  {len(fused_set)}-candidate repair scan; identical ranking "
-          f"across scalar/per-node/fused: {identical} "
+          f"scalar vs fused: {identical} "
           f"(max ICE diff {max_diff:.1e})")
     print(f"  best repair: {dict(best.changes)} (ICE {best.ice:.3f})\n")
 
@@ -102,14 +99,10 @@ def main() -> None:
     print("Warm repeated scans (median of "
           f"{ROUNDS}, candidate grid and fused programs cached):")
     scalar_ms = median_ms(lambda: scan(None, None), rounds=3)
-    pernode_ms = median_ms(lambda: scan(pernode, pernode_plan))
     fused_ms = median_ms(lambda: scan(fused, fused_plan))
     print(f"  scalar oracle      {scalar_ms:8.1f} ms")
-    print(f"  per-node batched   {pernode_ms:8.1f} ms "
-          f"({scalar_ms / pernode_ms:.1f}x vs scalar)")
     print(f"  fused per-level    {fused_ms:8.1f} ms "
-          f"({pernode_ms / fused_ms:.1f}x vs per-node, "
-          f"{scalar_ms / fused_ms:.1f}x vs scalar)\n")
+          f"({scalar_ms / fused_ms:.1f}x vs scalar)\n")
 
     # ------------------------------------- cross-request result memoization
     registry = ModelRegistry(capacity=2, result_cache_size=64)

@@ -79,7 +79,6 @@ class CausalInferenceEngine:
                  domains: Mapping[str, Sequence[float]],
                  top_k_paths: int = 5, max_contexts: int = 60,
                  max_ranking_age: int = 5, batched: bool = True,
-                 fused: bool = True,
                  prefitted: FittedPerformanceModel | None = None) -> None:
         self._learned = learned
         self._domains = {k: tuple(float(x) for x in v)
@@ -97,13 +96,8 @@ class CausalInferenceEngine:
         #: evaluator; ``batched=False`` keeps everything on the scalar
         #: reference path (the differential-testing oracle).
         self._use_batched = bool(batched)
-        #: compile propagation schedules into fused structure-of-arrays
-        #: programs (one GEMM per topological level); ``fused=False`` keeps
-        #: the per-node batched loops as the intermediate oracle.
-        self._use_fused = bool(fused)
         self._plan = QueryPlan(self._fitted.dag, graph=learned.graph)
-        self._batched = BatchedFittedModel(self._fitted, plan=self._plan,
-                                           fused=self._use_fused)
+        self._batched = BatchedFittedModel(self._fitted, plan=self._plan)
         self._path_cache: dict[tuple[str, ...], list[CausalPath]] = {}
         self._path_cache_age: dict[tuple[str, ...], int] = {}
         #: monotonically increasing model version; bumped by every
@@ -151,8 +145,7 @@ class CausalInferenceEngine:
         # evaluator always rebinds to the refitted equations.
         self._plan.rebind(self._fitted.dag, graph=learned.graph,
                           structure_changed=bool(changed_nodes))
-        self._batched = BatchedFittedModel(self._fitted, plan=self._plan,
-                                           fused=self._use_fused)
+        self._batched = BatchedFittedModel(self._fitted, plan=self._plan)
         for key in list(self._path_cache):
             age = self._path_cache_age.get(key, 0) + 1
             if age > self._max_ranking_age or (

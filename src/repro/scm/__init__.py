@@ -26,18 +26,11 @@ from repro.scm.mechanisms import (
 from repro.scm.noise import GaussianNoise, NoNoise, NoiseModel, UniformNoise
 from repro.scm.model import StructuralCausalModel
 from repro.scm.fitting import FittedPerformanceModel, fit_structural_equations
-from repro.scm.batched import (
-    BatchedFittedModel,
-    BatchedSCM,
-    StructuralPlan,
-    evaluate_mechanism_batch,
-)
+from repro.scm.batched import BatchedFittedModel, StructuralPlan
 
 __all__ = [
     "BatchedFittedModel",
-    "BatchedSCM",
     "StructuralPlan",
-    "evaluate_mechanism_batch",
     "Mechanism",
     "LinearMechanism",
     "PolynomialMechanism",

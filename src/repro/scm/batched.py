@@ -1,4 +1,4 @@
-"""Vectorized batch evaluation of structural causal models.
+"""Vectorized batch evaluation of fitted structural equations.
 
 The active loop's inference time is dominated by interventional and
 counterfactual queries evaluated one candidate configuration at a time:
@@ -7,25 +7,19 @@ sweeps every permissible value of every option, and satisfaction
 probabilities replay one intervention against every observed context.  Each
 scalar query walks the graph with python dicts and per-row design matrices.
 
-This module evaluates those queries in batch: N candidate configurations are
-propagated through the mechanisms (ground truth) or the fitted structural
-equations as ``(N,)``/``(N, R)`` numpy arrays in topological order, with the
-expensive per-query setup — noise abduction, residual abduction, affected-set
-computation — done once and reused across the whole batch.
+:class:`BatchedFittedModel` wraps a fitted
+:class:`~repro.scm.fitting.FittedPerformanceModel` and answers ``predict`` /
+``interventional_expectation`` / ``counterfactual`` for N configurations at
+once, which is what :class:`~repro.inference.engine.CausalInferenceEngine`
+queries on its hot paths.  The expensive per-query setup — residual
+abduction, affected-set computation, schedule compilation — is done once
+and reused across the batch, and every propagation runs through a compiled
+fused program (:mod:`repro.scm.fused`: one GEMM per topological level, with
+non-polynomial equations evaluated per node inside their level).
 
-* :class:`BatchedSCM` wraps a ground-truth
-  :class:`~repro.scm.model.StructuralCausalModel` and vectorizes
-  ``intervene`` / ``abduct_noise`` / ``counterfactual`` /
-  ``interventional_expectation``.
-* :class:`BatchedFittedModel` wraps a fitted
-  :class:`~repro.scm.fitting.FittedPerformanceModel` and vectorizes
-  ``predict`` / ``interventional_expectation`` / ``counterfactual``, which is
-  what :class:`~repro.inference.engine.CausalInferenceEngine` queries on its
-  hot paths.
-
-The scalar methods on the wrapped models remain the *reference semantics*:
-``tests/test_batched_vs_scalar.py`` holds the batched evaluators to 1e-9
-equivalence against them, and the scalar path stays selectable
+The scalar methods on the wrapped model remain the *reference semantics*:
+``tests/test_batched_vs_scalar.py`` and ``tests/test_fused_vs_batched.py``
+hold the batched answers to them, and the scalar path stays selectable
 (``batched_queries=False`` / ``batched=False``) as the differential oracle.
 """
 
@@ -37,29 +31,12 @@ import numpy as np
 
 from repro.graph.dag import CausalDAG
 from repro.scm.fitting import FittedPerformanceModel
-from repro.scm.fused import FusedProgram, compile_fused_program
-from repro.scm.model import StructuralCausalModel
+from repro.scm.fused import (FusedProgram, _predict_fallback,
+                              compile_fused_program)
 
 #: compiled fused programs kept per plan before the cache is dropped
 #: wholesale (distinct intervention key sets are few in practice).
 _MAX_FUSED_PROGRAMS = 128
-
-
-def evaluate_mechanism_batch(mechanism, columns: Mapping[str, np.ndarray],
-                             n_rows: int) -> np.ndarray:
-    """Evaluate a mechanism over ``(n_rows,)`` parent columns.
-
-    Mechanisms that implement ``evaluate_batch`` (all built-ins) are
-    vectorized; anything else falls back to a per-row scalar loop, so custom
-    mechanisms stay correct at scalar speed.
-    """
-    batch = getattr(mechanism, "evaluate_batch", None)
-    if batch is not None:
-        return np.asarray(batch(columns, n_rows), dtype=float)
-    parents = mechanism.parents
-    return np.array([mechanism.evaluate({p: float(columns[p][i])
-                                         for p in parents})
-                     for i in range(n_rows)], dtype=float)
 
 
 def _value_at(value, j: int) -> float:
@@ -176,164 +153,18 @@ class StructuralPlan:
             self._invalidate()
 
 
-# ---------------------------------------------------------------------------
-# Ground-truth SCMs
-# ---------------------------------------------------------------------------
-class BatchedSCM:
-    """Vectorized queries over a ground-truth structural causal model.
-
-    All methods reproduce the scalar semantics of
-    :class:`~repro.scm.model.StructuralCausalModel` exactly (to float
-    round-off): noise streams are consumed in the same order as a scalar
-    loop over the batch, so seeded runs agree with the scalar reference.
-    """
-
-    def __init__(self, scm: StructuralCausalModel) -> None:
-        self._scm = scm
-        self._exogenous = list(scm.exogenous_variables)
-        self._defaults = {name: scm.domain(name)[0] for name in self._exogenous}
-        endogenous = set(scm.endogenous_variables)
-        self._endogenous = list(scm.endogenous_variables)
-        self._topo = [v for v in scm.dag.topological_order()
-                      if v in endogenous]
-
-    @property
-    def scm(self) -> StructuralCausalModel:
-        return self._scm
-
-    # ------------------------------------------------------------- internals
-    def _config_columns(self, configurations: Sequence[Mapping[str, float]]
-                        ) -> tuple[dict[str, np.ndarray], int]:
-        n = len(configurations)
-        columns = {
-            name: np.array([float(c.get(name, self._defaults[name]))
-                            for c in configurations], dtype=float)
-            for name in self._exogenous
-        }
-        return columns, n
-
-    def _draw_noise_columns(self, rng: np.random.Generator,
-                            n: int) -> dict[str, np.ndarray]:
-        # Row-major draws (configuration-major, mechanism-minor) replicate
-        # the rng stream of a scalar loop calling ``intervene`` per row.
-        draws = {v: np.empty(n, dtype=float) for v in self._endogenous}
-        for i in range(n):
-            for variable in self._endogenous:
-                draws[variable][i] = \
-                    self._scm.noise_model(variable).sample(rng)
-        return draws
-
-    def _noise_columns(self, noise, rng, n: int) -> dict[str, np.ndarray]:
-        if noise is None:
-            return self._draw_noise_columns(rng, n) if rng is not None else {}
-        columns: dict[str, np.ndarray] = {}
-        for variable, value in noise.items():
-            array = np.asarray(value, dtype=float)
-            columns[variable] = (np.full(n, float(array))
-                                 if array.ndim == 0 else array)
-        return columns
-
-    def _propagate(self, columns: dict[str, np.ndarray],
-                   noise_columns: Mapping[str, np.ndarray],
-                   n: int) -> dict[str, np.ndarray]:
-        values = dict(columns)
-        for variable in self._topo:
-            structural = evaluate_mechanism_batch(
-                self._scm.mechanism(variable), values, n)
-            offset = noise_columns.get(variable)
-            values[variable] = (structural if offset is None
-                                else structural + offset)
-        return values
-
-    # ------------------------------------------------------------------- API
-    def intervene_batch(self, configurations: Sequence[Mapping[str, float]],
-                        rng: np.random.Generator | None = None,
-                        noise: Mapping[str, float | np.ndarray] | None = None
-                        ) -> dict[str, np.ndarray]:
-        """``do(options = configuration)`` for a whole batch at once.
-
-        Returns one ``(N,)`` column per variable.  Missing exogenous
-        variables default to the first domain value, matching the scalar
-        :meth:`~repro.scm.model.StructuralCausalModel.intervene`.
-        """
-        columns, n = self._config_columns(list(configurations))
-        noise_columns = self._noise_columns(noise, rng, n)
-        return self._propagate(columns, noise_columns, n)
-
-    def abduct_noise_batch(self, observations: Sequence[Mapping[str, float]]
-                           ) -> dict[str, np.ndarray]:
-        """Realised noise of each observation, one column per variable.
-
-        Observations are grouped by their key set, so heterogeneous batches
-        (rows observing different variable subsets) behave exactly like a
-        scalar loop over :meth:`StructuralCausalModel.abduct_noise`.
-        """
-        observations = list(observations)
-        n = len(observations)
-        noise = {variable: np.empty(n, dtype=float)
-                 for variable in self._topo}
-        for _, idx in group_by_keyset(observations):
-            group = [observations[i] for i in idx]
-            columns = {
-                name: np.array([float(o[name]) for o in group], dtype=float)
-                for name in group[0]
-            }
-            for variable in self._topo:
-                predicted = evaluate_mechanism_batch(
-                    self._scm.mechanism(variable), columns, len(group))
-                noise[variable][idx] = columns[variable] - predicted
-        return noise
-
-    def counterfactual_batch(self, observations: Sequence[Mapping[str, float]],
-                             interventions: Sequence[Mapping[str, float]]
-                             ) -> dict[str, np.ndarray]:
-        """Element-wise counterfactuals: one observation/intervention pair
-        per batch row, with the noise abduction vectorized across the batch.
-        """
-        observations = list(observations)
-        interventions = list(interventions)
-        if len(observations) != len(interventions):
-            raise ValueError("observations and interventions must pair up")
-        noise = self.abduct_noise_batch(observations)
-        configurations = []
-        for observation, intervention in zip(observations, interventions):
-            config = {name: float(observation[name])
-                      for name in self._exogenous if name in observation}
-            config.update({k: float(v) for k, v in intervention.items()})
-            configurations.append(config)
-        return self.intervene_batch(configurations, noise=noise)
-
-    def interventional_expectation_batch(
-            self, target: str, interventions: Sequence[Mapping[str, float]],
-            rng: np.random.Generator, n_samples: int = 64) -> np.ndarray:
-        """Monte-Carlo ``E[target | do(...)]`` for each intervention.
-
-        Consumes the rng stream exactly as sequential scalar calls to
-        :meth:`~repro.scm.model.StructuralCausalModel.
-        interventional_expectation` would.
-        """
-        out = np.empty(len(interventions), dtype=float)
-        for j, intervention in enumerate(interventions):
-            values = self.intervene_batch([intervention] * n_samples, rng=rng)
-            out[j] = float(np.mean(values[target]))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Fitted performance models
-# ---------------------------------------------------------------------------
 class BatchedFittedModel:
     """Vectorized queries over a fitted performance model.
 
     One instance is bound to one :class:`FittedPerformanceModel` (engines
     rebuild it on ``refresh``).  A :class:`StructuralPlan` (or the engine's
     :class:`~repro.inference.query_plan.QueryPlan`) supplies memoized
-    affected sets and propagation schedules.
+    affected sets and propagation schedules; compiled fused programs are
+    cached on the plan.
     """
 
     def __init__(self, model: FittedPerformanceModel,
-                 plan: StructuralPlan | None = None,
-                 fused: bool = True) -> None:
+                 plan: StructuralPlan | None = None) -> None:
         self._model = model
         self._plan = plan if plan is not None else StructuralPlan(model.dag)
         self._column_index = {name: i
@@ -344,10 +175,6 @@ class BatchedFittedModel:
         #: off the data epoch like the means — intervention-independent.
         self._row_residuals: dict[str, np.ndarray] | None = None
         self._row_residuals_epoch = -1
-        #: route propagation through compiled fused programs (one GEMM per
-        #: topological level); ``fused=False`` keeps the per-node loops as
-        #: the intermediate differential oracle between fused and scalar.
-        self._fused = bool(fused)
         #: context-matrix memo: ``(data_epoch, max_contexts, matrix)``.
         self._context_cache: tuple[int, int, np.ndarray] | None = None
 
@@ -358,11 +185,6 @@ class BatchedFittedModel:
     @property
     def plan(self) -> StructuralPlan:
         return self._plan
-
-    @property
-    def fused(self) -> bool:
-        """Whether propagation runs through compiled fused programs."""
-        return self._fused
 
     def _program(self, key, schedule: Sequence[str], known,
                  missing: str = "skip", column_names: Iterable[str] = (),
@@ -401,7 +223,6 @@ class BatchedFittedModel:
         ``(N,)`` column.
         """
         assignments = list(assignments)
-        model = self._model
         results: list[dict[str, float] | None] = [None] * len(assignments)
         for keys, idx in group_by_keyset(assignments):
             group = [assignments[i] for i in idx]
@@ -410,30 +231,14 @@ class BatchedFittedModel:
                 key: np.array([float(a[key]) for a in group], dtype=float)
                 for key in keys
             }
-            if self._fused:
-                schedule = [v for v in self._plan.topological_order
-                            if v not in values]
-                program = self._program(("predict", keys), schedule, keys,
-                                        missing="fallback",
-                                        column_names=self._column_index,
-                                        vector=keys)
-                program.execute(values, n, means=self._column_mean,
-                                scalar_token=self._observation_token({}))
-            else:
-                for variable in self._plan.topological_order:
-                    if variable in values:
-                        continue
-                    if model.has_equation(variable):
-                        equation = model.equation(variable)
-                        if all(p in values for p in equation.parents):
-                            values[variable] = equation.predict_batch(values,
-                                                                      n)
-                            continue
-                    if variable in self._column_index:
-                        values[variable] = np.full(
-                            n, self._column_mean(variable))
-                    else:
-                        values[variable] = np.zeros(n)
+            schedule = [v for v in self._plan.topological_order
+                        if v not in values]
+            program = self._program(("predict", keys), schedule, keys,
+                                    missing="fallback",
+                                    column_names=self._column_index,
+                                    vector=keys)
+            program.execute(values, n, means=self._column_mean,
+                            scalar_token=self._observation_token({}))
             wanted = list(values) if targets is None else list(targets)
             for j, i in enumerate(idx):
                 results[i] = {t: _value_at(values[t], j) for t in wanted}
@@ -469,56 +274,18 @@ class BatchedFittedModel:
         """Vectorized ``E[target | do(...)]`` over the empirical contexts.
 
         For each group of interventions sharing a key set, the observed
-        contexts are tiled into ``(N, R)`` columns, the intervened columns
-        are clamped, and only the variables downstream of an intervened one
-        are re-propagated — the batched analogue of the scalar truncated
-        factorisation.
+        contexts are tiled row-major into ``(n_group * n_contexts,)``
+        columns (only those the compiled program reads), the intervened
+        columns are clamped, and only the variables downstream of an
+        intervened one are re-propagated — the batched analogue of the
+        scalar truncated factorisation.
         """
         interventions = list(interventions)
-        model = self._model
         out = np.zeros(len(interventions), dtype=float)
         context = self._context_matrix(max_contexts)
         n_contexts = context.shape[0]
         if n_contexts == 0:
             return out
-        if self._fused:
-            return self._interventional_fused(target, interventions, out,
-                                              context)
-        for keys, idx in group_by_keyset(interventions):
-            n = len(idx)
-            values: dict[str, np.ndarray] = {
-                name: np.broadcast_to(context[:, j], (n, n_contexts))
-                for name, j in self._column_index.items()
-            }
-            for key in keys:
-                column = np.array([float(interventions[i][key]) for i in idx],
-                                  dtype=float)
-                values[key] = np.broadcast_to(column[:, None],
-                                              (n, n_contexts))
-            for variable in self._plan.propagation_schedule(keys):
-                if not model.has_equation(variable):
-                    continue
-                equation = model.equation(variable)
-                if all(p in values for p in equation.parents):
-                    flat = {p: values[p].reshape(-1)
-                            for p in equation.parents}
-                    values[variable] = equation.predict_batch(
-                        flat, n * n_contexts).reshape(n, n_contexts)
-            if target in values:
-                out[idx] = values[target].mean(axis=1)
-        return out
-
-    def _interventional_fused(self, target: str,
-                              interventions: Sequence[Mapping[str, float]],
-                              out: np.ndarray,
-                              context: np.ndarray) -> np.ndarray:
-        """Fused-program body of :meth:`interventional_expectation_batch`.
-
-        Per intervention key set the contexts are flattened row-major into
-        ``(n_group * n_contexts,)`` columns — but only the columns the
-        compiled program actually reads are materialised.
-        """
-        n_contexts = context.shape[0]
         for keys, idx in group_by_keyset(interventions):
             keyset = set(keys)
             schedule = self._plan.propagation_schedule(keys)
@@ -582,47 +349,24 @@ class BatchedFittedModel:
                                 ):
         """Yield ``(indices, values)`` per key-set group of interventions.
 
-        On the fused path the observation enters as broadcast Python-float
-        scalars (no ``np.full`` per column — the profiled hot spot of the
-        per-node path) and only recomputed variables come back as ``(N,)``
-        columns; consumers extract rows through :func:`_value_at`.
+        The observation enters as broadcast Python-float scalars and only
+        recomputed variables come back as ``(N,)`` columns; consumers
+        extract rows through :func:`_value_at`.
         """
-        model = self._model
         residuals = self._abduct_residuals(observation)
-        base = ({name: float(value) for name, value in observation.items()}
-                if self._fused else None)
-        token = (self._observation_token(base) if self._fused else None)
+        base = {name: float(value) for name, value in observation.items()}
+        token = self._observation_token(base)
+        known = frozenset(observation)
         for keys, idx in group_by_keyset(interventions):
-            n = len(idx)
-            if self._fused:
-                values = dict(base)
-                for key in keys:
-                    values[key] = np.array(
-                        [float(interventions[i][key]) for i in idx],
-                        dtype=float)
-                known = frozenset(observation) | set(keys)
-                program = self._program(("cf", keys, frozenset(observation)),
-                                        self._plan.propagation_schedule(keys),
-                                        known, vector=keys)
-                program.execute(values, n, residuals=residuals,
-                                scalar_token=token)
-                yield idx, values
-                continue
-            values: dict[str, np.ndarray] = {
-                name: np.full(n, float(value))
-                for name, value in observation.items()
-            }
+            values = dict(base)
             for key in keys:
                 values[key] = np.array(
                     [float(interventions[i][key]) for i in idx], dtype=float)
-            for variable in self._plan.propagation_schedule(keys):
-                if not model.has_equation(variable):
-                    continue
-                equation = model.equation(variable)
-                if all(p in values for p in equation.parents):
-                    values[variable] = (
-                        equation.predict_batch(values, n)
-                        + residuals.get(variable, 0.0))
+            program = self._program(("cf", keys, known),
+                                    self._plan.propagation_schedule(keys),
+                                    known | set(keys), vector=keys)
+            program.execute(values, len(idx), residuals=residuals,
+                            scalar_token=token)
             yield idx, values
 
     def counterfactual_batch(self, observation: Mapping[str, float],
@@ -665,11 +409,10 @@ class BatchedFittedModel:
                 out[:, t] = float((fallbacks or {}).get(target, 0.0))
         if not interventions:
             return out
-        if self._fused:
-            merged = self._merged_counterfactual_targets(
-                observation, interventions, targets, out)
-            if merged is not None:
-                return merged
+        merged = self._merged_counterfactual_targets(
+            observation, interventions, targets, out)
+        if merged is not None:
+            return merged
         for idx, values in self._counterfactual_columns(observation,
                                                         interventions):
             for t, target in enumerate(targets):
@@ -767,8 +510,8 @@ class BatchedFittedModel:
 
         The residual abduction is vectorized over the dataset: one
         ``predict_batch`` per equation on the pristine columns, then one
-        re-propagation of the affected variables with the intervention
-        clamped.
+        fused re-propagation of the affected variables with the
+        intervention clamped.
         """
         model = self._model
         data = model.data
@@ -778,7 +521,7 @@ class BatchedFittedModel:
         if self._row_residuals is None or self._row_residuals_epoch != epoch:
             self._row_residuals = {
                 variable: columns[variable]
-                - equation.predict_batch(columns, n)
+                - _predict_fallback(equation, columns, n)
                 for variable, equation in model.equations().items()
                 if variable in columns
                 and all(p in columns for p in equation.parents)
@@ -787,32 +530,17 @@ class BatchedFittedModel:
         residuals = self._row_residuals
         values: dict = dict(columns)
         keys = list(intervention)
-        if self._fused:
-            for key in keys:
-                values[key] = float(intervention[key])
-            program = self._program(("rows", frozenset(keys)),
-                                    self._plan.propagation_schedule(keys),
-                                    set(columns) | set(keys),
-                                    vector=columns)
-            token = self._observation_token(
-                {key: float(intervention[key]) for key in keys})
-            program.execute(values, n, residuals=residuals,
-                            scalar_token=token)
-            if target in values:
-                column = values[target]
-                return (np.asarray(column, dtype=float)
-                        if isinstance(column, np.ndarray)
-                        else np.full(n, float(column)))
-            return np.zeros(n)
         for key in keys:
-            values[key] = np.full(n, float(intervention[key]))
-        for variable in self._plan.propagation_schedule(keys):
-            if not model.has_equation(variable):
-                continue
-            equation = model.equation(variable)
-            if all(p in values for p in equation.parents):
-                values[variable] = (equation.predict_batch(values, n)
-                                    + residuals.get(variable, 0.0))
+            values[key] = float(intervention[key])
+        program = self._program(("rows", frozenset(keys)),
+                                self._plan.propagation_schedule(keys),
+                                set(columns) | set(keys), vector=columns)
+        token = self._observation_token(
+            {key: float(intervention[key]) for key in keys})
+        program.execute(values, n, residuals=residuals, scalar_token=token)
         if target in values:
-            return np.asarray(values[target], dtype=float)
+            column = values[target]
+            return (np.asarray(column, dtype=float)
+                    if isinstance(column, np.ndarray)
+                    else np.full(n, float(column)))
         return np.zeros(n)

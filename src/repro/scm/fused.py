@@ -1,16 +1,13 @@
 """Fused structure-of-arrays execution plans for fitted structural equations.
 
-The batched evaluator (:mod:`repro.scm.batched`) removed the per-*candidate*
-Python overhead of interventional and counterfactual queries, but it still
-dispatches Python per *node*: every topological level walks its variables one
-at a time, paying one ``predict_batch`` call (feature building, term-by-term
-accumulation) per fitted equation.  A 256-candidate repair scan over a
-37-variable model therefore makes thousands of small numpy calls.
-
-This module compiles a propagation schedule into a **fused program**: the
-schedule is partitioned into levels (by recomputation depth), and within each
-level every polynomial equation's coefficients are packed into one contiguous
-``(F, K)`` coefficient matrix over the level's deduplicated feature set, so
+Dispatching Python per *node* — one ``predict_batch`` call (feature
+building, term-by-term accumulation) per fitted equation per topological
+level — makes a 256-candidate repair scan over a 37-variable model cost
+thousands of small numpy calls.  This module compiles a propagation
+schedule into a **fused program** instead: the schedule is partitioned into
+levels (by recomputation depth), and within each level every polynomial
+equation's coefficients are packed into one contiguous ``(F, K)``
+coefficient matrix over the level's deduplicated feature set, so
 propagating ``N`` configurations costs one BLAS ``(N, F) @ (F, K)`` matrix
 multiply per level instead of ``K`` Python dispatches.  (The product runs in
 zero-padded chunks of the fixed width ``_GEMM_WIDTH`` rather than at the raw
@@ -19,14 +16,15 @@ serving layer's coalescing guarantee — row ``i`` of a batch is bitwise equal
 to the same query dispatched alone — requires row results independent of
 batch width.)  Equations that are not plain
 :class:`~repro.scm.fitting.FittedEquation` polynomials fall back to per-node
-evaluation *inside the same level*, so the fused path is always available
-regardless of the mechanism mix.
+evaluation *inside the same level* (row by row when they have no
+``predict_batch``), so a fused program exists for every mechanism mix.
 
 Programs embed the owning model's coefficients, so they are cached on the
 :class:`~repro.scm.batched.StructuralPlan` keyed by owner model (see
-``StructuralPlan.fused_programs``) and dropped on structural rebinds; the
-per-node batched path remains selectable (``fused=False``) as the
-intermediate differential oracle between the fused and scalar semantics.
+``StructuralPlan.fused_programs``) and dropped on structural rebinds.  Fused
+programs are the only batched propagation path; they are held to the scalar
+methods of :class:`~repro.scm.fitting.FittedPerformanceModel`, the reference
+oracle.
 """
 
 from __future__ import annotations
@@ -202,7 +200,7 @@ class FusedProgram:
 
         ``residuals`` (abducted per-variable noise, scalar or ``(n,)``) is
         added to every recomputed variable that has an entry, matching the
-        additive-noise counterfactual semantics of the per-node path.
+        additive-noise counterfactual semantics of the scalar oracle.
 
         ``scalar_token``, when given, must determine every broadcast-scalar
         input the program reads (plus the means epoch): each block's folded
@@ -399,7 +397,7 @@ def compile_fused_program(model, schedule: Sequence[str],
             max_level = max(max_level, 0)
         # missing == "skip": the variable keeps its base value (if any) and
         # stays available only when the caller supplied one — exactly the
-        # per-node evaluator's ``all(p in values)`` guard.
+        # scalar oracle's ``all(p in values)`` guard.
 
     levels = [FusedLevel() for _ in range(max_level + 1)]
     fused_entries: dict[int, list[tuple[str, object, list]]] = {}

@@ -9,20 +9,16 @@ exhibit the non-linear, multi-modal behaviour highlighted in Fig. 3.
 
 Every mechanism implements ``evaluate(parent_values)`` where ``parent_values``
 is a ``{parent_name: value}`` mapping, and exposes ``parents`` so the SCM can
-build its DAG from the mechanisms alone.  The built-in mechanisms additionally
-implement ``evaluate_batch(parent_columns, n_rows)``, the vectorized form used
-by :class:`repro.scm.batched.BatchedSCM`: ``parent_columns`` maps parent name
-to an ``(n_rows,)`` array and the result is the ``(n_rows,)`` array of
-structural values.  Mechanisms without ``evaluate_batch`` fall back to a
-per-row scalar loop, so custom mechanisms stay correct, just not fast.
+build its DAG from the mechanisms alone.  Mechanisms are only ever evaluated
+one row at a time: ground-truth SCMs simulate measurements, while the batched
+query paths run over the *fitted* structural equations
+(:mod:`repro.scm.batched`).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping, Protocol, Sequence
-
-import numpy as np
 
 
 class Mechanism(Protocol):
@@ -63,15 +59,6 @@ class LinearMechanism:
         total = self._intercept
         for parent, coefficient in self._coefficients.items():
             total += coefficient * float(parent_values[parent])
-        return total
-
-    def evaluate_batch(self, parent_columns: Mapping[str, np.ndarray],
-                       n_rows: int) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over ``(n_rows,)`` parent columns."""
-        total = np.full(n_rows, self._intercept, dtype=float)
-        for parent, coefficient in self._coefficients.items():
-            total += coefficient * np.asarray(parent_columns[parent],
-                                              dtype=float)
         return total
 
     def __repr__(self) -> str:
@@ -116,20 +103,6 @@ class InteractionMechanism:
             total += product
         return total
 
-    def evaluate_batch(self, parent_columns: Mapping[str, np.ndarray],
-                       n_rows: int) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over ``(n_rows,)`` parent columns."""
-        total = np.full(n_rows, self._intercept, dtype=float)
-        for parent, coefficient in self._linear.items():
-            total += coefficient * np.asarray(parent_columns[parent],
-                                              dtype=float)
-        for group, coefficient in self._interactions.items():
-            product = np.full(n_rows, coefficient, dtype=float)
-            for parent in group:
-                product *= np.asarray(parent_columns[parent], dtype=float)
-            total += product
-        return total
-
     def __repr__(self) -> str:
         return (f"InteractionMechanism(linear={self._linear}, "
                 f"interactions={self._interactions})")
@@ -156,16 +129,6 @@ class PolynomialMechanism:
         total = self._intercept
         for parent, coefficients in self._terms.items():
             value = float(parent_values[parent])
-            for degree, coefficient in enumerate(coefficients, start=1):
-                total += coefficient * value ** degree
-        return total
-
-    def evaluate_batch(self, parent_columns: Mapping[str, np.ndarray],
-                       n_rows: int) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over ``(n_rows,)`` parent columns."""
-        total = np.full(n_rows, self._intercept, dtype=float)
-        for parent, coefficients in self._terms.items():
-            value = np.asarray(parent_columns[parent], dtype=float)
             for degree, coefficient in enumerate(coefficients, start=1):
                 total += coefficient * value ** degree
         return total
@@ -205,17 +168,6 @@ class SaturatingMechanism:
             value += coefficient * float(parent_values[parent])
         return value
 
-    def evaluate_batch(self, parent_columns: Mapping[str, np.ndarray],
-                       n_rows: int) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over ``(n_rows,)`` parent columns."""
-        x = np.maximum(np.asarray(parent_columns[self._driver], dtype=float),
-                       0.0)
-        value = self._baseline + self._scale * x / (x + self._half_point)
-        for parent, coefficient in self._modifiers.items():
-            value = value + coefficient * np.asarray(parent_columns[parent],
-                                                     dtype=float)
-        return value
-
     def __repr__(self) -> str:
         return (f"SaturatingMechanism(driver={self._driver!r}, "
                 f"scale={self._scale}, half_point={self._half_point})")
@@ -252,20 +204,6 @@ class CategoricalTableMechanism:
             total += coefficient * float(parent_values[parent])
         return total
 
-    def evaluate_batch(self, parent_columns: Mapping[str, np.ndarray],
-                       n_rows: int) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over ``(n_rows,)`` parent columns."""
-        keys = np.asarray(parent_columns[self._selector], dtype=float)
-        looked_up = np.full(n_rows, self._default, dtype=float)
-        # Exact float equality, matching the scalar dict lookup.
-        for key, contribution in self._table.items():
-            looked_up[keys == key] = contribution
-        total = self._intercept + looked_up
-        for parent, coefficient in self._linear.items():
-            total += coefficient * np.asarray(parent_columns[parent],
-                                              dtype=float)
-        return total
-
     def __repr__(self) -> str:
         return (f"CategoricalTableMechanism(selector={self._selector!r}, "
                 f"levels={len(self._table)})")
@@ -293,14 +231,6 @@ class ClippedMechanism:
         """The inner mechanism's value, clipped to ``[lower, upper]``."""
         return float(min(max(self._inner.evaluate(parent_values),
                              self._lower), self._upper))
-
-    def evaluate_batch(self, parent_columns: Mapping[str, np.ndarray],
-                       n_rows: int) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over ``(n_rows,)`` parent columns."""
-        from repro.scm.batched import evaluate_mechanism_batch
-
-        inner = evaluate_mechanism_batch(self._inner, parent_columns, n_rows)
-        return np.minimum(np.maximum(inner, self._lower), self._upper)
 
     def __repr__(self) -> str:
         return f"ClippedMechanism({self._inner!r}, [{self._lower}, {self._upper}])"

@@ -401,6 +401,10 @@ class GatewayServer:
         sock.settimeout(self.recv_timeout)
         decoder = FrameDecoder(self.max_frame_bytes)
         try:
+            # Inside the try: some stacks refuse the option (EINVAL) on a
+            # connection the peer already reset; that drops this
+            # connection only, never the accept loop.
+            _set_nodelay(sock)
             while True:
                 frame = self._next_frame(sock, decoder)
                 if frame is None:
@@ -674,6 +678,17 @@ class GatewayServer:
                 "draining": self.draining}
 
 
+def _set_nodelay(sock: socket.socket) -> None:
+    """Send every frame at once instead of holding it for the peer's ACK.
+
+    Each envelope is one small write answered by one small read; with
+    Nagle's algorithm on, a reply written while the previous one is still
+    unacknowledged waits for the peer's (possibly delayed) ACK, which
+    pins wire latency to the client's inter-request gap.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _shutdown_socket(sock: socket.socket) -> None:
     """Half-close then close a socket, tolerating already-dead peers."""
     try:
@@ -717,6 +732,7 @@ class GatewayClient:
         self._sock = socket.create_connection(tuple(address),
                                               timeout=float(timeout))
         self._sock.settimeout(float(timeout))
+        _set_nodelay(self._sock)
 
     # ------------------------------------------------------------- transport
     def _send(self, envelope: dict) -> None:

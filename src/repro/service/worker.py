@@ -60,6 +60,7 @@ drift refreshes) by the time the reply arrives.
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Mapping, Sequence
 
@@ -266,7 +267,14 @@ def run_shard_server(shard_index: int, commands, results,
     ``fork`` and ``spawn`` multiprocessing start methods.  An injected
     crash exits the process abruptly with a nonzero code — the closest
     in-band analogue of a worker being OOM-killed.
+
+    Under ``fork`` the worker starts with a copy of the parent's whole
+    heap.  Freezing it first keeps the worker's garbage collector from
+    walking (and copy-on-write duplicating) every inherited object, which
+    otherwise made a worker's start-up cost grow with whatever the parent
+    happened to hold when it forked.
     """
+    gc.freeze()
     try:
         ShardServer(shard_index, commands, results, registry_options).run()
     except InjectedCrash:  # pragma: no cover - exercised in a subprocess

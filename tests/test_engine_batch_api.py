@@ -4,8 +4,8 @@ The differential suite (``test_batched_vs_scalar.py``) pins the evaluators
 to the scalar semantics on random models; these tests pin the *engine*
 surface: ``predict_batch`` / ``interventional_expectations_batch`` /
 ``repair_candidates_batch`` agree between a ``batched=True`` and a
-``batched=False`` engine on a real learned model, custom mechanisms fall
-back to the scalar loop, and the batched scorer handles degenerate inputs.
+``batched=False`` engine on a real learned model, and the batched scorer
+handles degenerate inputs.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from repro.inference.repairs import (
     repair_sort_key,
     score_repair_candidates_batched,
 )
-from repro.scm.batched import BatchedSCM, evaluate_mechanism_batch
-from repro.scm.mechanisms import LinearMechanism
-from repro.scm.model import StructuralCausalModel
 
 
 @pytest.fixture(scope="module")
@@ -97,41 +94,8 @@ def test_satisfaction_probability_agrees(engine_pair, cache_system,
 
 
 # ---------------------------------------------------------------------------
-# Degenerate inputs and fallbacks
+# Degenerate inputs
 # ---------------------------------------------------------------------------
-class _OpaqueMechanism:
-    """A mechanism without evaluate_batch — exercises the scalar fallback."""
-
-    parents = ("o0",)
-
-    def evaluate(self, parent_values):
-        return 2.0 * float(parent_values["o0"]) + 1.0
-
-
-def test_unknown_mechanism_falls_back_to_scalar_loop():
-    columns = {"o0": np.array([0.0, 1.0, 2.0])}
-    values = evaluate_mechanism_batch(_OpaqueMechanism(), columns, 3)
-    assert values == pytest.approx([1.0, 3.0, 5.0])
-
-    scm = StructuralCausalModel(exogenous={"o0": (0.0, 1.0, 2.0)},
-                                mechanisms={"v0": _OpaqueMechanism()})
-    batched = BatchedSCM(scm)
-    out = batched.intervene_batch([{"o0": v} for v in (0.0, 1.0, 2.0)])
-    assert out["v0"] == pytest.approx([1.0, 3.0, 5.0])
-
-
-def test_intervene_batch_accepts_scalar_noise_mapping():
-    scm = StructuralCausalModel(
-        exogenous={"o0": (0.0, 1.0)},
-        mechanisms={"v0": LinearMechanism({"o0": 1.0})})
-    batched = BatchedSCM(scm)
-    out = batched.intervene_batch([{"o0": 0.0}, {"o0": 1.0}],
-                                  noise={"v0": 0.5})
-    assert out["v0"] == pytest.approx([0.5, 1.5])
-    scalar = scm.intervene({"o0": 1.0}, noise={"v0": 0.5})
-    assert out["v0"][1] == pytest.approx(scalar["v0"])
-
-
 def test_batched_scoring_handles_empty_inputs(engine_pair):
     batched, _ = engine_pair
     evaluator = batched.batched_evaluator

@@ -1,16 +1,19 @@
-"""Differential tests: fused execution plans vs per-node batched vs scalar.
+"""Differential tests: fused execution plans vs the scalar oracle.
 
 The fused path (:mod:`repro.scm.fused`) compiles propagation schedules
-into per-level packed-coefficient GEMMs; the per-node batched path
-(``BatchedFittedModel(..., fused=False)``) and the scalar methods remain
+into per-level packed-coefficient GEMMs and is the only batched
+propagation path; the scalar methods of ``FittedPerformanceModel`` remain
 the reference semantics.  Hypothesis drives random fitted models (random
-DAG shapes, random mechanism mixes, N=0/1 edge cases) through all three
-paths and holds every answer to a condition-aware bound (1e-9 for
-well-conditioned fits, see ``_fused_tol``); targeted tests cover
-single-node
-graphs, mixed fallback levels, multi-chunk batches beyond the fixed GEMM
-width, the batch-width bit-stability contract, the scalar-fold memo and
-the stale-program invalidation on structural rebinds.
+DAG shapes, random mechanism mixes, N=0/1 edge cases) through the fused
+evaluator and holds every answer to the scalar oracle within a
+condition-aware bound (1e-9 for well-conditioned fits, see
+``_fused_tol``).  The three-way tests add a third leg to that comparison:
+the same query dispatched alone (bitwise equal, the serving layer's
+coalescing contract) or through the other counterfactual program (merged
+vs per key set).  Targeted tests cover single-node graphs, mixed and
+row-by-row fallback levels, multi-chunk batches beyond the fixed GEMM
+width, the scalar-fold memo and the stale-program invalidation on
+structural rebinds.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 
-from test_batched_vs_scalar import fitted_and_interventions, fitted_models
+from test_batched_vs_scalar import (
+    _fused_tol,
+    fitted_and_interventions,
+    fitted_models,
+)
 from repro.scm.batched import BatchedFittedModel
 from repro.scm.fitting import FittedEquation, fit_structural_equations
 from repro.scm.fused import (
@@ -33,89 +40,62 @@ from repro.stats.dataset import Dataset
 TOL = dict(rtol=1e-9, atol=1e-9)
 
 
-def _evaluators(model):
-    """The fused evaluator and its per-node differential oracle."""
-    return (BatchedFittedModel(model, fused=True),
-            BatchedFittedModel(model, fused=False))
-
-
-def _fused_tol(model):
-    """Condition-aware tolerance for the reassociated fused path.
-
-    Hypothesis-generated fits can be arbitrarily ill-conditioned:
-    discrete options make x and x^2 (near-)collinear, so lstsq splits
-    coefficient mass between cancelling features whose magnitude is
-    unbounded (observed up to ~1e9).  Reassociating the summation — as
-    the fused base fold does — then loses ~eps per unit of coefficient
-    magnitude, compounding once per level, so the honest bound scales
-    with the square of the largest coefficient.  Well-conditioned fits
-    (the hand-built models below, the pinned benchmark scan) keep the
-    hard 1e-9 of ``TOL``.
-    """
-    scale = 1.0
-    for equation in model._equations.values():
-        coefficients = getattr(equation, "coefficients", None)
-        if coefficients is not None and len(coefficients):
-            scale = max(scale, float(np.max(np.abs(coefficients))),
-                        abs(float(equation.intercept)))
-    return dict(rtol=1e-9, atol=max(1e-9, 1e-12 * scale * scale))
-
-
 # ---------------------------------------------------------------------------
 # Property-based three-way differentials
 # ---------------------------------------------------------------------------
 @given(fitted_and_interventions())
 @settings(max_examples=25, deadline=None)
 def test_predict_three_way(case):
+    """Batch rows equal the same query alone and match the scalar."""
     scm, model, assignments = case
-    fused, pernode = _evaluators(model)
+    fused = BatchedFittedModel(model)
     tol = _fused_tol(model)
-    fused_rows = fused.predict_batch(assignments)
-    pernode_rows = pernode.predict_batch(assignments)
-    assert len(fused_rows) == len(pernode_rows) == len(assignments)
-    for assignment, f_row, p_row in zip(assignments, fused_rows,
-                                        pernode_rows):
+    rows = fused.predict_batch(assignments)
+    assert len(rows) == len(assignments)
+    for assignment, row in zip(assignments, rows):
+        assert row == fused.predict_batch([assignment])[0]
         scalar = model.predict(assignment)
-        assert set(f_row) == set(p_row) == set(scalar)
+        assert set(row) == set(scalar)
         for variable, value in scalar.items():
-            assert np.allclose(f_row[variable], p_row[variable], **tol)
-            assert np.allclose(f_row[variable], value, **tol)
+            assert np.allclose(row[variable], value, **tol)
 
 
 @given(fitted_and_interventions())
 @settings(max_examples=25, deadline=None)
 def test_interventional_expectation_three_way(case):
+    """Batch entries equal the same intervention alone and the scalar."""
     scm, model, interventions = case
-    fused, pernode = _evaluators(model)
+    fused = BatchedFittedModel(model)
     tol = _fused_tol(model)
     target = scm.endogenous_variables[-1]
-    f_values = fused.interventional_expectation_batch(target, interventions)
-    p_values = pernode.interventional_expectation_batch(target, interventions)
-    assert f_values.shape == p_values.shape == (len(interventions),)
+    values = fused.interventional_expectation_batch(target, interventions)
+    assert values.shape == (len(interventions),)
     for j, intervention in enumerate(interventions):
+        alone = fused.interventional_expectation_batch(target,
+                                                       [intervention])
+        assert values[j] == alone[0]
         scalar = model.interventional_expectation(target, intervention)
-        assert np.allclose(f_values[j], p_values[j], **tol)
-        assert np.allclose(f_values[j], scalar, **tol)
+        assert np.allclose(values[j], scalar, **tol)
 
 
 @given(fitted_and_interventions())
 @settings(max_examples=25, deadline=None)
 def test_counterfactual_targets_three_way(case):
+    """The merged program, the per-key-set programs and the scalar agree."""
     scm, model, interventions = case
-    fused, pernode = _evaluators(model)
+    fused = BatchedFittedModel(model)
     tol = _fused_tol(model)
     observation = model.data.row(0)
     targets = list(scm.endogenous_variables)
-    f_matrix = fused.counterfactual_targets_batch(observation, interventions,
-                                                  targets)
-    p_matrix = pernode.counterfactual_targets_batch(observation,
-                                                    interventions, targets)
-    assert f_matrix.shape == p_matrix.shape
-    assert np.allclose(f_matrix, p_matrix, **tol)
+    matrix = fused.counterfactual_targets_batch(observation, interventions,
+                                                targets)
+    outcomes = fused.counterfactual_batch(observation, interventions)
+    assert matrix.shape == (len(interventions), len(targets))
     for i, intervention in enumerate(interventions):
         scalar = model.counterfactual(observation, intervention)
         for t, target in enumerate(targets):
-            assert np.allclose(f_matrix[i, t], scalar.get(target, 0.0),
+            assert np.allclose(matrix[i, t], outcomes[i][target], **tol)
+            assert np.allclose(matrix[i, t], scalar.get(target, 0.0),
                                **tol)
 
 
@@ -134,15 +114,14 @@ def _single_node_model():
 
 def test_single_node_graph_three_way():
     scm, model = _single_node_model()
-    fused, pernode = _evaluators(model)
+    fused = BatchedFittedModel(model)
     assignments = [{"o0": value} for value in (0.0, 1.0, 2.0)]
-    f_rows = fused.predict_batch(assignments)
-    p_rows = pernode.predict_batch(assignments)
-    for assignment, f_row, p_row in zip(assignments, f_rows, p_rows):
+    rows = fused.predict_batch(assignments)
+    for assignment, row in zip(assignments, rows):
+        assert row == fused.predict_batch([assignment])[0]
         scalar = model.predict(assignment)
         for variable, value in scalar.items():
-            assert np.allclose(f_row[variable], p_row[variable], **TOL)
-            assert np.allclose(f_row[variable], value, **TOL)
+            assert np.allclose(row[variable], value, **TOL)
     # Intervening on the only endogenous node leaves an empty schedule.
     empty = fused.predict_batch([{"o0": 1.0, "v0": 9.0}])
     assert np.allclose(empty[0]["v0"], 9.0, **TOL)
@@ -162,8 +141,19 @@ class _OpaqueEquation:
         return 2.0 * self._inner.predict_batch(columns, n_rows) + 1.0
 
 
-def test_mixed_fallback_level_matches_pernode():
-    """A level mixing fused nodes and fallback equations stays exact."""
+class _RowOnlyEquation:
+    """A non-polynomial equation with ``predict`` but no ``predict_batch``."""
+
+    def __init__(self, inner: FittedEquation) -> None:
+        self._inner = inner
+        self.parents = inner.parents
+
+    def predict(self, values):
+        return 2.0 * self._inner.predict(values) + 1.0
+
+
+def _mixed_level_model():
+    """Two options feeding v0, v1 (one level) which both feed v2."""
     scm = StructuralCausalModel(
         exogenous={"o0": (0.0, 1.0), "o1": (1.0, 2.0)},
         mechanisms={
@@ -175,37 +165,72 @@ def test_mixed_fallback_level_matches_pernode():
         },
         noise={})
     rows = scm.sample(24, np.random.default_rng(7))
-    model = fit_structural_equations(scm.dag, Dataset.from_rows(rows))
+    return fit_structural_equations(scm.dag, Dataset.from_rows(rows))
+
+
+def test_mixed_fallback_level_matches_scalar():
+    """A level mixing fused nodes and fallback equations stays exact."""
+    model = _mixed_level_model()
     # Make v1 opaque: level 0 now holds a fused block (v0) and a fallback
     # (v1) side by side, and level 1 (v2) consumes both their columns.
     model._equations["v1"] = _OpaqueEquation(model._equations["v1"])
     assert equation_feature_ops(model.equation("v1")) is None
-    fused, pernode = _evaluators(model)
+    fused = BatchedFittedModel(model)
     assignments = [{"o0": a, "o1": b} for a in (0.0, 1.0) for b in (1.0, 2.0)]
-    f_rows = fused.predict_batch(assignments)
-    p_rows = pernode.predict_batch(assignments)
-    for assignment, f_row, p_row in zip(assignments, f_rows, p_rows):
+    rows = fused.predict_batch(assignments)
+    for assignment, row in zip(assignments, rows):
         scalar = model.predict(assignment)
         for variable in ("v0", "v1", "v2"):
-            assert np.allclose(f_row[variable], p_row[variable], **TOL)
-            assert np.allclose(f_row[variable], scalar[variable], **TOL)
+            assert np.allclose(row[variable], scalar[variable], **TOL)
+
+
+def test_fallback_without_predict_batch_runs_per_row():
+    """An equation with only a scalar ``predict`` is evaluated row by row
+    inside its fused level, for predictions and counterfactuals alike."""
+    model = _mixed_level_model()
+    model._equations["v1"] = _RowOnlyEquation(model._equations["v1"])
+    assert not hasattr(model.equation("v1"), "predict_batch")
+    fused = BatchedFittedModel(model)
+    assignments = [{"o0": a, "o1": b} for a in (0.0, 1.0) for b in (1.0, 2.0)]
+    rows = fused.predict_batch(assignments)
+    for assignment, row in zip(assignments, rows):
+        scalar = model.predict(assignment)
+        for variable in ("v0", "v1", "v2"):
+            assert np.allclose(row[variable], scalar[variable], **TOL)
+    observation = model.data.row(0)
+    targets = ["v0", "v1", "v2"]
+    interventions = [{"o0": 1.0}, {"o1": 2.0}, {"o0": 0.0, "o1": 1.0}]
+    matrix = fused.counterfactual_targets_batch(observation, interventions,
+                                                targets)
+    for i, intervention in enumerate(interventions):
+        scalar = model.counterfactual(observation, intervention)
+        for t, target in enumerate(targets):
+            assert np.allclose(matrix[i, t], scalar[target], **TOL)
+    column = fused.counterfactual_rows_batch({"o0": 1.0}, "v2")
+    for i, row in enumerate(model.data.rows()):
+        scalar = model.counterfactual(row, {"o0": 1.0})
+        assert np.allclose(column[i], scalar["v2"], **TOL)
 
 
 @given(fitted_models())
 @settings(max_examples=10, deadline=None)
 def test_multi_chunk_batches_beyond_gemm_width(case):
-    """Batches wider than the fixed GEMM width chunk without drift."""
+    """Batches wider than the fixed GEMM width chunk without drift: every
+    row is bitwise equal to the same query alone and matches the scalar."""
     scm, model, _ = case
-    fused, pernode = _evaluators(model)
+    fused = BatchedFittedModel(model)
+    tol = _fused_tol(model)
     option = scm.exogenous_variables[0]
     domain = scm.domain(option)
     n = _GEMM_WIDTH + 7
     assignments = [{option: domain[i % len(domain)]} for i in range(n)]
-    f_rows = fused.predict_batch(assignments)
-    p_rows = pernode.predict_batch(assignments)
     target = scm.endogenous_variables[-1]
-    for f_row, p_row in zip(f_rows, p_rows):
-        assert np.allclose(f_row[target], p_row[target], **TOL)
+    rows = fused.predict_batch(assignments, targets=[target])
+    for assignment, row in zip(assignments, rows):
+        alone = fused.predict_batch([assignment], targets=[target])[0]
+        assert row[target] == alone[target]
+        scalar = model.predict(assignment, targets=[target])
+        assert np.allclose(row[target], scalar[target], **tol)
 
 
 def test_fused_rows_bitwise_stable_across_batch_width():
@@ -226,7 +251,7 @@ def test_fused_rows_bitwise_stable_across_batch_width():
         noise={})
     rows = scm2.sample(20, np.random.default_rng(11))
     model = fit_structural_equations(scm2.dag, Dataset.from_rows(rows))
-    fused = BatchedFittedModel(model, fused=True)
+    fused = BatchedFittedModel(model)
     assignments = [{"o0": float(i % 3), "o1": 0.5 + (i % 2)}
                    for i in range(_GEMM_WIDTH + 9)]
     batch = fused.predict_batch(assignments)
@@ -283,7 +308,7 @@ def test_scalar_fold_memo_replays_and_invalidates():
 def test_fused_programs_dropped_on_structural_rebind():
     """Satellite regression: stale plans must not survive a rebind."""
     scm, model = _single_node_model()
-    fused = BatchedFittedModel(model, fused=True)
+    fused = BatchedFittedModel(model)
     fused.predict_batch([{"o0": 1.0}])
     plan = fused.plan
     assert plan.fused_programs(model)  # compiled and cached
@@ -300,7 +325,7 @@ def test_fused_programs_dropped_on_structural_rebind():
 
 def test_fused_program_cache_reused_across_calls():
     scm, model = _single_node_model()
-    fused = BatchedFittedModel(model, fused=True)
+    fused = BatchedFittedModel(model)
     fused.predict_batch([{"o0": 0.0}])
     programs = fused.plan.fused_programs(model)
     compiled = dict(programs)

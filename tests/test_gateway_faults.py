@@ -20,11 +20,16 @@ Covers the fault surface ISSUE 9 demands of the gateway:
   synthesized error responses (crash requeue-budget exhaustion) and
   close-time settlements are counted in ``errors`` / ``closed_errors``,
   never double-counted as ``answered``, when the traffic arrives through
-  :class:`~repro.service.gateway.GatewayClient` connections.
+  :class:`~repro.service.gateway.GatewayClient` connections;
+* **no Nagle delay** — both ends of a live connection set
+  ``TCP_NODELAY``, so a small reply is never held back waiting for the
+  peer's (possibly delayed) ACK; a stack that refuses the option on one
+  accepted socket drops that connection only, not the accept loop.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import socket
 import threading
@@ -44,6 +49,7 @@ from repro.service import (
     ShardedQueryService,
     Tenant,
 )
+from repro.service import gateway as gateway_module
 from repro.service.protocol import ErrorCode, FrameDecoder, encode_envelope
 
 REQUEST = EffectRequest.of("cache-a", "Throughput", {"CachePolicy": 0.0})
@@ -147,6 +153,42 @@ def test_idle_connection_survives_recv_timeout(leak_audit):
             assert client.ping()
             time.sleep(0.5)  # several timeout periods of boundary idle
             assert client.ping()
+
+
+def test_live_connection_sets_tcp_nodelay_on_both_ends(leak_audit):
+    service = _EchoService()
+    with GatewayServer(service) as gateway:
+        with GatewayClient(gateway.address) as client:
+            assert client.ping()  # the server has accepted and served it
+            [conn] = list(gateway._connections.values())
+            for sock in (conn.sock, client._sock):
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+
+
+def test_nodelay_failure_drops_only_that_connection(leak_audit,
+                                                    monkeypatch):
+    service = _EchoService()
+    set_nodelay = gateway_module._set_nodelay
+    refused = []
+
+    def refuse_first_accepted(sock):
+        # Accepted sockets share the listener's port; the client's is
+        # ephemeral.  Refuse the first accepted one as BSD stacks do for a
+        # connection the peer has already reset.
+        if not refused and sock.getsockname()[1] == gateway.address[1]:
+            refused.append(sock)
+            raise OSError(errno.EINVAL, "Invalid argument")
+        set_nodelay(sock)
+
+    monkeypatch.setattr(gateway_module, "_set_nodelay",
+                        refuse_first_accepted)
+    with GatewayServer(service) as gateway:
+        with socket.create_connection(gateway.address, timeout=10.0) as sock:
+            assert sock.recv(1) == b""  # closed, not leaked open
+        with GatewayClient(gateway.address) as client:
+            assert client.ping()  # the accept loop is still running
+        assert refused
 
 
 # ------------------------------------------------------ disconnect mid-request

@@ -19,11 +19,15 @@ Covers the contracts ISSUE 5 demands of the sharded tier:
 * the :class:`~repro.service.service.QueryService` ``close()`` bugfix —
   futures that can no longer be served resolve with a deterministic
   :class:`ServiceClosedError` instead of hanging or being silently
-  cancelled.
+  cancelled;
+* **forked start-up** — a forked worker freezes the heap it inherits, so
+  its garbage collector never walks the parent's objects.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
 import threading
 import time
 
@@ -50,6 +54,7 @@ from repro.service import (
     shard_of,
     unicorn_from_spec,
 )
+from repro.service.worker import run_shard_server
 from repro.systems.base import Measurement
 from repro.systems.cache_example import make_cache_example
 
@@ -597,3 +602,25 @@ def test_flush_compacts_quiet_subject_journals(tmp_path):
         with shard.lock:
             assert shard.journal == []
         assert service.stats.journal_ops_compacted >= 2
+
+
+def _freeze_count_after_serving(commands, results, counts) -> None:
+    run_shard_server(0, commands, results)
+    counts.put(gc.get_freeze_count())
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_worker_freezes_the_inherited_heap():
+    """A forked worker's collector never walks the parent's heap."""
+    ctx = mp.get_context("fork")
+    commands, results, counts = ctx.Queue(), ctx.Queue(), ctx.Queue()
+    commands.put(("shutdown",))
+    worker = ctx.Process(target=_freeze_count_after_serving,
+                         args=(commands, results, counts), daemon=True)
+    worker.start()
+    try:
+        assert results.get(timeout=60) == ("bye",)
+        assert counts.get(timeout=60) > 0
+    finally:
+        worker.join(timeout=60)
