@@ -68,7 +68,7 @@ class _SeedMixedCITest:
 
     Reconstructed here so the benchmark keeps comparing against the original
     from-scratch implementation after the production path was optimised.  No
-    ``test_batch`` is exposed, so the skeleton search takes the per-pair
+    ``decide`` kernel is exposed, so the skeleton search takes the per-test
     route the seed used.
     """
 
@@ -181,7 +181,7 @@ def _drive_loop(system, iterations: int, seed: int = 0,
         "incremental_seconds": incremental_seconds,
         "median_incremental_seconds": float(np.median(incremental_seconds)),
         "shd_incremental_vs_cold": int(shd),
-        "ci_cache_hit_rate": unicorn._learner.ci_cache.counters.hit_rate(),
+        "ci_tests_performed": state.learned.ci_tests_performed,
     }
     if time_seed_path:
         payload["seed_style_seconds"] = seed_seconds

@@ -188,16 +188,14 @@ class Unicorn:
         By default the first call cold-starts the model and every later call
         routes through the incremental path: measurements not yet reflected
         in the model are appended in place to its dataset, the learner
-        warm-starts discovery from the previous structure, and the existing
-        inference engine is refreshed instead of being reconstructed.  Pass
+        re-runs discovery on fresh CI decisions (the structure a cold learn
+        over the same rows finds), and the existing inference engine is
+        refreshed instead of being reconstructed.  Pass
         ``incremental=False`` to force the from-scratch path (used by
         benchmarks as the cold baseline).
         """
         started = time.perf_counter()
-        if incremental is None:
-            incremental = (state.learned is not None
-                           and state.learned.skeleton_state is not None)
-        if incremental and state.learned is not None:
+        if incremental is not False and state.learned is not None:
             consumed = state.learned.data.n_rows
             new_rows = [m.as_row() for m in state.measurements[consumed:]]
             state.learned = self._learner.update(state.learned, new_rows)

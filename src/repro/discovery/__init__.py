@@ -21,7 +21,6 @@ from repro.discovery.constraints import StructuralConstraints, VariableRole
 from repro.discovery.skeleton import (
     learn_skeleton,
     SkeletonResult,
-    SkeletonState,
 )
 from repro.discovery.fci import fci, orient_colliders, apply_orientation_rules
 from repro.discovery.entropic import (
@@ -36,7 +35,6 @@ __all__ = [
     "VariableRole",
     "learn_skeleton",
     "SkeletonResult",
-    "SkeletonState",
     "fci",
     "orient_colliders",
     "apply_orientation_rules",

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class VariableRole(enum.Enum):
@@ -77,17 +79,22 @@ class StructuralConstraints:
                 if r is VariableRole.OBJECTIVE]
 
     # ------------------------------------------------------------ adjacency
-    def adjacency_allowed(self, u: str, v: str) -> bool:
-        """May an edge (of any orientation) exist between ``u`` and ``v``?"""
-        role_u, role_v = self.roles[u], self.roles[v]
-        if (self.forbid_option_option_edges
-                and role_u is VariableRole.OPTION
-                and role_v is VariableRole.OPTION):
-            return False
-        if ((u, v) in self.forbidden_edges
-                and (v, u) in self.forbidden_edges):
-            return False
-        return True
+    def adjacency_matrix(self, variables: Sequence[str]) -> np.ndarray:
+        """May an edge (of any orientation) exist between two ``variables``?
+
+        A symmetric boolean matrix over ``variables`` with a false diagonal.
+        """
+        option = np.array([self.roles[v] is VariableRole.OPTION
+                           for v in variables], dtype=bool)
+        allowed = ~np.eye(len(variables), dtype=bool)
+        if self.forbid_option_option_edges:
+            allowed &= ~(option[:, None] & option[None, :])
+        position = {v: i for i, v in enumerate(variables)}
+        for u, v in self.forbidden_edges:
+            if (v, u) in self.forbidden_edges and u in position \
+                    and v in position:
+                allowed[position[u], position[v]] = False
+        return allowed
 
     # ------------------------------------------------------------ direction
     def direction_allowed(self, cause: str, effect: str) -> bool:

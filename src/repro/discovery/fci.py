@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.discovery.constraints import StructuralConstraints
 from repro.discovery.skeleton import (
     SkeletonResult,
-    SkeletonState,
+    first_independent,
     learn_skeleton,
 )
 from repro.graph.edges import Mark
@@ -33,9 +33,6 @@ class FCIResult:
     pag: MixedGraph
     separating_sets: dict[frozenset[str], set[str]]
     tests_performed: int
-    #: snapshot of the final adjacency structure + separating sets, ready to
-    #: warm-start the next incremental run.
-    skeleton_state: SkeletonState | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +184,16 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
 
     Returns the number of CI tests performed.  ``max_subsets_per_edge`` caps
     the number of conditioning subsets examined per edge so the phase stays
-    tractable on dense intermediate graphs.
+    tractable on dense intermediate graphs.  With the array kernel each
+    edge's subsets of one size are decided in one call and the first
+    independent one (in enumeration order) separates the edge, which is the
+    decision the per-test loop reaches.
     """
     tests = 0
     required = set()
     if constraints is not None:
         required = {frozenset(edge) for edge in constraints.required_edges}
+    kernel = getattr(ci_test, "decide", None) is not None
     for edge in list(graph.edges()):
         x, y = edge.u, edge.v
         if not graph.has_edge(x, y) or frozenset((x, y)) in required:
@@ -202,19 +203,29 @@ def _pdsep_prune(graph: MixedGraph, ci_test: CITest,
         if constraints is not None:
             candidates = [c for c in candidates
                           if constraints.conditioning_allowed(c)]
-        found = False
+        if kernel and candidates:
+            columns = ci_test.column_indices([x, y, *candidates])
         for size in range(1, min(len(candidates), max_condition_size) + 1):
-            subsets = itertools.islice(
-                itertools.combinations(candidates, size), max_subsets_per_edge)
-            for subset in subsets:
-                tests += 1
-                outcome = ci_test.test(x, y, list(subset))
-                if outcome.independent:
-                    graph.remove_edge(x, y)
-                    separating_sets[frozenset((x, y))] = set(subset)
-                    found = True
-                    break
-            if found:
+            if not kernel:
+                subsets = itertools.islice(
+                    itertools.combinations(candidates, size),
+                    max_subsets_per_edge)
+                separator = None
+                for subset in subsets:
+                    tests += 1
+                    if ci_test.test(x, y, list(subset)).independent:
+                        separator = subset
+                        break
+            else:
+                tried, picked = first_independent(
+                    ci_test, columns[0], columns[1], columns[2:], size,
+                    max_subsets_per_edge)
+                tests += tried
+                separator = (None if picked is None
+                             else [candidates[i] for i in picked])
+            if separator is not None:
+                graph.remove_edge(x, y)
+                separating_sets[frozenset((x, y))] = set(separator)
                 break
     return tests
 
@@ -229,8 +240,7 @@ def orient_pag(graph: MixedGraph,
 
     Resets every mark to a circle, orients colliders from the separating
     sets, applies the R1-R4 rules to a fixed point and forces the marks
-    implied by structural constraints — the orientation tail of :func:`fci`,
-    shared with the incremental path that reuses a validated skeleton.
+    implied by structural constraints — the orientation tail of :func:`fci`.
     """
     for edge in graph.edges():
         graph.set_mark(edge.u, edge.v, Mark.CIRCLE)
@@ -242,21 +252,17 @@ def orient_pag(graph: MixedGraph,
 
 def fci(variables: list[str], ci_test: CITest,
         constraints: StructuralConstraints | None = None,
-        max_condition_size: int = 3,
-        previous: SkeletonState | None = None) -> FCIResult:
+        max_condition_size: int = 3) -> FCIResult:
     """Run FCI and return a PAG.
 
     Steps: PC-style skeleton, collider orientation, Possible-D-Sep pruning,
     re-initialisation of marks, collider re-orientation and the R1-R4
-    orientation rules, following the standard FCI recipe.
-
-    ``previous`` warm-starts the skeleton phase from an earlier run's
-    :class:`SkeletonState` (the separating sets it carries also feed collider
-    orientation), turning a full re-learn into a revalidation pass.
+    orientation rules, following the standard FCI recipe.  Every CI
+    decision is made fresh on the test's current data.
     """
     skeleton: SkeletonResult = learn_skeleton(
         variables, ci_test, constraints=constraints,
-        max_condition_size=max_condition_size, previous=previous)
+        max_condition_size=max_condition_size)
     graph = skeleton.graph
     sepsets = skeleton.separating_sets
     tests = skeleton.tests_performed
@@ -268,8 +274,7 @@ def fci(variables: list[str], ci_test: CITest,
     orient_pag(graph, sepsets, constraints)
 
     return FCIResult(pag=graph, separating_sets=sepsets,
-                     tests_performed=tests,
-                     skeleton_state=SkeletonState.from_graph(graph, sepsets))
+                     tests_performed=tests)
 
 
 def _apply_constraint_orientations(graph: MixedGraph,

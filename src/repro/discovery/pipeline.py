@@ -4,34 +4,19 @@
 and entropic resolution into the three-step procedure of Fig. 9, and exposes
 ``update`` for the incremental re-learning of Stage IV (Fig. 10).
 
-``learn`` is the cold-start path: it rebuilds the statistical session
-(sufficient statistics, CI tests, orienter) and runs FCI from the fully
-connected constraint graph.  ``update`` is genuinely incremental: new samples
-are appended *in place* to the model's dataset (bumping its data epoch), and
-CI decisions far from the significance threshold are replayed from the
-:class:`CIDecisionCache` instead of being recomputed.  Three nested fast
-paths re-estimate the structure:
-
-1. *Trace validation* — the previous discovery run's CI-decision sequence is
-   revalidated against the grown data (mostly cache lookups); if every
-   decision still holds, the previous skeleton, separating sets and PAG are
-   what a cold traversal would reproduce and are reused verbatim.  The
-   guarantee is exact up to the cache's margin policy: decisions far from
-   the significance threshold may be served stale for a few epochs, so a
-   confident decision that flips immediately after new rows arrive is
-   caught one retest window later rather than instantly.
-2. *Structural warm start* (models without a recorded trace) — the skeleton
-   search starts from the previous graph, retests each removed edge against
-   its recorded separating set and each survivor against its current
-   neighbourhood, and carries the separating sets into FCI orientation.
-3. *Cached replay* — when the structure moved, the cold traversal re-runs
-   with the CI cache serving every non-borderline decision, which costs
-   dictionary lookups plus the genuinely new tests.
+There is one path: fresh decisions from one kernel, and update = cold learn.
+``learn`` binds a statistical session (sufficient statistics, the mixed CI
+test, the orienter) to a private copy of the data and runs FCI, whose every
+CI decision comes fresh from the test's array kernel
+(:meth:`~repro.stats.independence.MixedCITest.decide`).  ``update`` appends
+the new samples *in place* to the model's dataset — the sufficient
+statistics fold in only the new rows — and then runs exactly that cold FCI
+and entropic resolution again, so an updated model is the model a cold
+``learn`` over the same rows would produce.
 
 Because the constraint structure and the CI decisions on the old data are
 largely stable, the learned graph converges as the active loop acquires
-samples (Fig. 11a tracks this via the structural Hamming distance) — and the
-incremental path re-examines only the borderline fringe.
+samples (Fig. 11a tracks this via the structural Hamming distance).
 """
 
 from __future__ import annotations
@@ -42,16 +27,10 @@ from typing import Mapping, Sequence
 
 from repro.discovery.constraints import StructuralConstraints
 from repro.discovery.entropic import EntropicOrienter
-from repro.discovery.fci import FCIResult, fci
-from repro.discovery.skeleton import SkeletonState
+from repro.discovery.fci import fci
 from repro.graph.mixed_graph import MixedGraph
 from repro.stats.dataset import Dataset
-from repro.stats.independence import (
-    CachedCITest,
-    CIDecision,
-    CIDecisionCache,
-    MixedCITest,
-)
+from repro.stats.independence import CIDecisionCache, MixedCITest
 from repro.stats.sufficient import SufficientStats
 
 
@@ -66,14 +45,21 @@ class LearnedModel:
     ci_tests_performed: int = 0
     discovery_seconds: float = 0.0
     history: list[dict[str, float]] = field(default_factory=list)
-    #: warm-start snapshot for the next incremental update.
-    skeleton_state: SkeletonState | None = None
-    #: the CI-decision sequence of the discovery run that produced this
-    #: model; revalidating it verbatim proves the structure is still the one
-    #: a cold traversal would find (see ``CausalModelLearner.update``).
-    decision_trace: list[CIDecision] | None = field(default=None, repr=False)
-    #: True when this model came out of the incremental path.
+    #: True when this model came out of ``CausalModelLearner.update``.
     incremental: bool = False
+    #: separating sets of the FCI run behind ``pag`` (not serialised; a
+    #: restored model has none until its next update).
+    separating_sets: dict[frozenset[str], set[str]] = field(
+        default_factory=dict, repr=False)
+
+    @property
+    def decision_trace(self) -> None:
+        """Always ``None``: models no longer record their CI decisions.
+
+        Kept read-only for readers of the former decision-trace fast path
+        (the benchmark's traced run); see ROADMAP.
+        """
+        return None
 
     @property
     def n_samples(self) -> int:
@@ -84,39 +70,21 @@ class LearnedModel:
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """JSON-safe snapshot of the model and its warm-start machinery.
+        """JSON-safe snapshot of the model.
 
-        Everything a deserialised model needs to keep taking the
-        incremental :meth:`CausalModelLearner.update` fast path is
-        captured: graph and PAG (via :meth:`MixedGraph.to_dict`), the
-        dataset (bitwise, via its base64 codec), the skeleton warm-start
-        state and the CI-decision trace.  Structural constraints are *not*
+        Graph and PAG (via :meth:`MixedGraph.to_dict`), the dataset
+        (bitwise, via its base64 codec) and the learning diagnostics: all an
+        :meth:`CausalModelLearner.update` needs, since an update is a cold
+        learn over the grown data.  Structural constraints are *not*
         embedded — they are a pure function of the subject spec and the
         loader passes them back to :meth:`from_dict`.
         """
-        skeleton = None
-        if self.skeleton_state is not None:
-            skeleton = {
-                "edges": sorted(sorted(pair)
-                                for pair in self.skeleton_state.edges),
-                "separating_sets": [
-                    [sorted(pair), sorted(members)]
-                    for pair, members in sorted(
-                        self.skeleton_state.separating_sets.items(),
-                        key=lambda item: sorted(item[0]))],
-            }
-        trace = None
-        if self.decision_trace is not None:
-            trace = [[d.x, d.y, list(d.conditioning), bool(d.independent)]
-                     for d in self.decision_trace]
         return {
             "graph": self.graph.to_dict(),
             "pag": self.pag.to_dict(),
             "data": self.data.to_dict(),
             "ci_tests_performed": int(self.ci_tests_performed),
             "history": [dict(h) for h in self.history],
-            "skeleton_state": skeleton,
-            "decision_trace": trace,
             "incremental": bool(self.incremental),
         }
 
@@ -124,6 +92,9 @@ class LearnedModel:
     def from_dict(cls, payload: dict,
                   constraints: StructuralConstraints) -> "LearnedModel":
         """Rebuild the model snapshotted by :meth:`to_dict`.
+
+        Payloads written before updates became cold learns also carry
+        ``skeleton_state`` and ``decision_trace``; both are ignored.
 
         Parameters
         ----------
@@ -133,20 +104,6 @@ class LearnedModel:
             The structural constraints of the owning subject (derived from
             its spec — see :class:`repro.core.unicorn.Unicorn`).
         """
-        skeleton = None
-        if payload.get("skeleton_state") is not None:
-            doc = payload["skeleton_state"]
-            skeleton = SkeletonState(
-                edges={frozenset(pair) for pair in doc["edges"]},
-                separating_sets={frozenset(pair): set(members)
-                                 for pair, members
-                                 in doc["separating_sets"]})
-        trace = None
-        if payload.get("decision_trace") is not None:
-            trace = [CIDecision(x=x, y=y, conditioning=tuple(conditioning),
-                                independent=bool(independent))
-                     for x, y, conditioning, independent
-                     in payload["decision_trace"]]
         return cls(
             graph=MixedGraph.from_dict(payload["graph"]),
             pag=MixedGraph.from_dict(payload["pag"]),
@@ -154,19 +111,16 @@ class LearnedModel:
             data=Dataset.from_dict(payload["data"]),
             ci_tests_performed=int(payload.get("ci_tests_performed", 0)),
             history=[dict(h) for h in payload.get("history", [])],
-            skeleton_state=skeleton,
-            decision_trace=trace,
             incremental=bool(payload.get("incremental", False)))
 
 
 @dataclass
 class _LearnerSession:
-    """Statistical machinery kept alive across incremental updates."""
+    """Statistical machinery bound to one model dataset."""
 
     data: Dataset
     variables: list[str]
-    stats: SufficientStats
-    ci_test: CachedCITest
+    ci_test: MixedCITest
     orienter: EntropicOrienter
 
 
@@ -190,30 +144,19 @@ class CausalModelLearner:
         (0.8 in the paper).
     seed:
         Seed for the stochastic parts of LatentSearch.
-    ci_margin_factor:
-        Margin policy of the CI-decision cache: decisions with p-value
-        outside ``[alpha / factor, alpha * factor]`` survive a data-epoch
-        bump, borderline decisions are retested (see
-        :class:`~repro.stats.independence.CIDecisionCache`).
-    ci_max_stale_epochs:
-        How many data-epoch bumps a confident CI decision may be served
-        stale before it is retested.
     """
 
     def __init__(self, constraints: StructuralConstraints,
                  alpha: float = 0.05, max_condition_size: int = 2,
                  bins: int = 6, entropy_threshold_factor: float = 0.8,
-                 seed: int = 0, ci_margin_factor: float = 8.0,
-                 ci_max_stale_epochs: int = 3) -> None:
+                 seed: int = 0) -> None:
         self._constraints = constraints
         self._alpha = alpha
         self._max_condition_size = max_condition_size
         self._bins = bins
         self._threshold_factor = entropy_threshold_factor
         self._seed = seed
-        self._ci_cache = CIDecisionCache(alpha=alpha,
-                                         margin_factor=ci_margin_factor,
-                                         max_stale_epochs=ci_max_stale_epochs)
+        self._ci_cache = CIDecisionCache(alpha=alpha)
         self._session: _LearnerSession | None = None
 
     @property
@@ -222,33 +165,58 @@ class CausalModelLearner:
 
     @property
     def ci_cache(self) -> CIDecisionCache:
-        """The persistent CI-decision cache (for observability / tests)."""
+        """An idle CI-decision cache whose counters stay 0.
+
+        Every decision is made fresh, so nothing is looked up here; the
+        attribute stays for readers of the former cache counters (the
+        benchmark's traced run) until they are retired (see ROADMAP).
+        """
         return self._ci_cache
 
     # --------------------------------------------------------------- session
-    def _model_variables(self, data: Dataset) -> list[str]:
-        return [v for v in data.columns if v in self._constraints.roles]
-
     def _bind_session(self, data: Dataset) -> _LearnerSession:
-        """(Re)build the persistent statistical session over ``data``.
+        """(Re)build the statistical session over ``data``.
 
-        One :class:`SufficientStats` feeds the CI tests and the entropic
-        orienter, and one :class:`CachedCITest` threads every CI decision
-        through the epoch-aware cache.
+        One :class:`SufficientStats` feeds the CI test's kernel and the
+        entropic orienter; rows appended to ``data`` later are folded into
+        it on the next use.
         """
         stats = SufficientStats(data)
-        ci_test = CachedCITest(
-            MixedCITest(data, alpha=self._alpha, bins=self._bins,
-                        stats=stats),
-            self._ci_cache, lambda: data.data_epoch)
+        ci_test = MixedCITest(data, alpha=self._alpha, bins=self._bins,
+                              stats=stats)
         orienter = EntropicOrienter(
             data, bins=self._bins,
             entropy_threshold_factor=self._threshold_factor,
             seed=self._seed, stats=stats)
         self._session = _LearnerSession(
-            data=data, variables=self._model_variables(data), stats=stats,
+            data=data,
+            variables=[v for v in data.columns
+                       if v in self._constraints.roles],
             ci_test=ci_test, orienter=orienter)
         return self._session
+
+    def _discover(self, session: _LearnerSession, started: float,
+                  history: list[dict[str, float]],
+                  incremental: bool) -> LearnedModel:
+        """FCI with fresh decisions, then entropic resolution."""
+        result = fci(session.variables, session.ci_test,
+                     constraints=self._constraints,
+                     max_condition_size=self._max_condition_size)
+        resolved = session.orienter.resolve(result.pag, self._constraints)
+        elapsed = time.perf_counter() - started
+        data = session.data
+        return LearnedModel(
+            graph=resolved, pag=result.pag, constraints=self._constraints,
+            data=data, ci_tests_performed=result.tests_performed,
+            discovery_seconds=elapsed,
+            history=history + [{
+                "n_samples": float(data.n_rows),
+                "n_edges": float(resolved.num_edges()),
+                "seconds": elapsed,
+                "incremental": float(incremental),
+            }],
+            incremental=incremental,
+            separating_sets=result.separating_sets)
 
     # ------------------------------------------------------------------ learn
     def learn(self, data: Dataset) -> LearnedModel:
@@ -259,154 +227,31 @@ class CausalModelLearner:
         mutate an array the caller still owns.
         """
         started = time.perf_counter()
-        self._ci_cache.clear()
-        data = data.copy()
-        session = self._bind_session(data)
-        session.ci_test.start_trace()
-        result = fci(session.variables, session.ci_test,
-                     constraints=self._constraints,
-                     max_condition_size=self._max_condition_size)
-        trace = session.ci_test.take_trace()
-        resolved = session.orienter.resolve(result.pag, self._constraints)
-        elapsed = time.perf_counter() - started
-        model = LearnedModel(
-            graph=resolved, pag=result.pag, constraints=self._constraints,
-            data=data, ci_tests_performed=result.tests_performed,
-            discovery_seconds=elapsed, skeleton_state=result.skeleton_state,
-            decision_trace=trace)
-        model.history.append({
-            "n_samples": float(data.n_rows),
-            "n_edges": float(resolved.num_edges()),
-            "seconds": elapsed,
-            "incremental": 0.0,
-        })
-        return model
+        session = self._bind_session(data.copy())
+        return self._discover(session, started, [], incremental=False)
 
     # ----------------------------------------------------------------- update
     def update(self, model: LearnedModel,
                new_rows: Sequence[Mapping[str, float]]) -> LearnedModel:
-        """Incrementally update a model with newly measured configurations.
+        """Update a model with newly measured configurations.
 
         The new samples are appended **in place** to the model's dataset
         (``model.data`` is shared with the returned model, so earlier
-        :class:`LearnedModel` handles observe the grown data as well), and
-        only the borderline fringe of the causal structure is re-examined:
-        skeleton and Possible-D-Sep pruning warm-start from the previous
-        :class:`SkeletonState`, far-from-threshold CI decisions replay from
-        the cache, and unchanged PAG edges keep their entropic orientation.
-        The previous history is carried over so callers can plot convergence
-        (Fig. 11).
-
-        Models without a warm-start snapshot (or with a dataset that cannot
-        be grown in place) fall back to a cold re-learn over the concatenated
-        data, which is the behaviour of the original from-scratch path.
+        :class:`LearnedModel` handles observe the grown data as well) and
+        the structure is re-learned exactly as :meth:`learn` would over the
+        same rows: a cold FCI on fresh CI decisions and a fresh entropic
+        resolution.  What carries over is the statistical session — the
+        sufficient statistics fold in only the appended rows — and the
+        history, so callers can plot convergence (Fig. 11).  A model this
+        learner did not produce last (another learner's, or one restored
+        from a snapshot) gets a session bound to its dataset first.
         """
         if not new_rows:
             return model
-        if model.skeleton_state is None:
-            updated = self.learn(model.data.append_rows(new_rows))
-            updated.history = model.history + updated.history
-            return updated
-
         started = time.perf_counter()
         session = self._session
         if session is None or session.data is not model.data:
-            # Foreign model (e.g. learned by another learner instance):
-            # adopt its dataset.  The cache is keyed by (x, y, Z) and epoch
-            # only, so decisions computed on the previously bound dataset
-            # must not leak into this one.
-            self._ci_cache.clear()
             session = self._bind_session(model.data)
         model.data.append_rows_inplace(new_rows)
-
-        result: FCIResult | None = None
-        trace: list[CIDecision] | None = None
-        validation_tests = 0
-        if model.decision_trace:
-            # Fast path — revalidate the previous run's decision sequence.
-            # A constraint-based search is a deterministic function of its
-            # CI decisions, so if every recorded decision still holds on the
-            # grown data the cold traversal would reproduce the previous
-            # structure verbatim; reuse it.  Most decisions replay from the
-            # cache, so this costs the borderline retests plus lookups —
-            # with the caveat that a confident decision served stale under
-            # the margin policy is only rechecked when its reuse window
-            # closes.
-            valid, validation_tests = self._trace_still_valid(
-                session, model.decision_trace)
-            if valid:
-                result = FCIResult(
-                    pag=model.pag.copy(),
-                    separating_sets=model.skeleton_state.separating_sets,
-                    tests_performed=validation_tests,
-                    skeleton_state=model.skeleton_state)
-                trace = model.decision_trace
-        else:
-            # No trace (e.g. a deserialised model): fall back to the
-            # structural warm start — FCI revalidates removed edges against
-            # their recorded separating sets and survivors against their
-            # current neighbourhoods and Possible-D-Sep sets.  The warm
-            # result is only accepted if it reproduces the previous
-            # structure exactly; any deviation escalates to the cold replay
-            # below, which also records a decision trace so subsequent
-            # updates take the sound fast path.
-            warm = fci(session.variables, session.ci_test,
-                       constraints=self._constraints,
-                       max_condition_size=self._max_condition_size,
-                       previous=model.skeleton_state)
-            validation_tests = warm.tests_performed
-            assert warm.skeleton_state is not None
-            previous = model.skeleton_state
-            if (warm.skeleton_state.edges == previous.edges
-                    and warm.skeleton_state.separating_sets
-                    == previous.separating_sets):
-                result = warm
-        if result is None:
-            # The structure moved, so the order-dependent PC traversal could
-            # settle elsewhere: re-run the cold traversal.  With the CI
-            # cache serving every decision that is not borderline, this
-            # replay costs dictionary lookups plus the genuinely new tests,
-            # and by construction it produces exactly what `learn` would (up
-            # to confident decisions the margin policy chose not to retest).
-            session.ci_test.start_trace()
-            result = fci(session.variables, session.ci_test,
-                         constraints=self._constraints,
-                         max_condition_size=self._max_condition_size)
-            trace = session.ci_test.take_trace()
-            result.tests_performed += validation_tests
-        resolved = session.orienter.resolve(result.pag, self._constraints)
-        elapsed = time.perf_counter() - started
-        updated = LearnedModel(
-            graph=resolved, pag=result.pag, constraints=self._constraints,
-            data=model.data, ci_tests_performed=result.tests_performed,
-            discovery_seconds=elapsed, skeleton_state=result.skeleton_state,
-            decision_trace=trace, incremental=True)
-        updated.history = model.history + [{
-            "n_samples": float(model.data.n_rows),
-            "n_edges": float(resolved.num_edges()),
-            "seconds": elapsed,
-            "incremental": 1.0,
-        }]
-        return updated
-
-    @staticmethod
-    def _trace_still_valid(session: _LearnerSession,
-                           trace: Sequence[CIDecision]) -> tuple[bool, int]:
-        """Check a recorded decision sequence against the current data.
-
-        Decisions are grouped by conditioning set so shared-set groups run
-        through the batch test (one sufficient-statistics pass); returns
-        ``(all decisions unchanged, number of decisions checked)``.
-        """
-        groups: dict[tuple[str, ...], list[CIDecision]] = {}
-        for decision in trace:
-            groups.setdefault(decision.conditioning, []).append(decision)
-        checked = 0
-        for conditioning, decisions in groups.items():
-            outcomes = session.ci_test.test_batch(
-                [(d.x, d.y) for d in decisions], list(conditioning))
-            checked += len(decisions)
-            for decision, outcome in zip(decisions, outcomes):
-                if outcome.independent != decision.independent:
-                    return False, checked
-        return True, checked
+        return self._discover(session, started, model.history,
+                              incremental=True)

@@ -13,9 +13,10 @@ performance model.  :class:`ModelRegistry` keeps those models:
   uses), so equal specs resolve to the same entry and never fit twice.
 * **Incrementally refreshed** — :meth:`ModelRegistry.observe` appends new
   measurements and routes through :meth:`repro.core.unicorn.Unicorn.learn`,
-  whose incremental path (PR 1) updates the learner's structure in place
-  and refreshes the existing engine instead of rebuilding it; every refresh
-  bumps the entry's ``version`` so in-flight batches never mix model states.
+  whose incremental path grows the model's dataset in place, re-learns the
+  structure on fresh CI decisions and refreshes the existing engine
+  instead of rebuilding it; every refresh bumps the entry's ``version`` so
+  in-flight batches never mix model states.
 * **Drift-aware** — with a ``drift_threshold`` set, :meth:`observe` no
   longer relearns on every batch: observations buffer per entry while a
   :class:`~repro.service.drift.DriftDetector` watches the prediction

@@ -10,12 +10,13 @@ default.
 
 All tests expose the same interface: ``test(x, y, conditioning)`` returns a
 :class:`CIResult` with the p-value and the decision at the configured
-significance level.  Tests additionally expose ``test_batch`` for scoring
-many pairs that share one conditioning set in a single sufficient-statistics
-pass, and :class:`CIDecisionCache` / :class:`CachedCITest` let the
-incremental model-maintenance layer reuse decisions across data epochs: a
-decision whose p-value sits far from the significance threshold survives an
-epoch bump untested, while borderline decisions are retested on fresh data.
+significance level.  ``FisherZTest`` and ``MixedCITest`` also carry the
+array kernel the discovery layer runs on: :meth:`MixedCITest.decide` turns
+column-index triples ``(x, y, Z)`` into fresh independence decisions
+straight from the epoch's :meth:`SufficientStats.covariance` — closed-form
+Schur complements for ``|Z| <= 1``, stacked solves above that, and the
+G-test dispatch kept scalar.  Its decisions equal ``test(...).independent``;
+the raw-data :func:`fisher_z` is the independent reference for both.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from repro.stats.dataset import Dataset
@@ -52,6 +54,19 @@ class CITest(Protocol):
              conditioning: Sequence[str] = ()) -> CIResult:
         """Test ``x`` independent of ``y`` given ``conditioning``."""
         ...  # pragma: no cover
+
+
+#: Triples per kernel chunk: bounds the temporaries of one array pass.
+_KERNEL_CHUNK = 8192
+#: A kernel p-value this close to alpha is re-decided by the scalar test, so
+#: the kernel's decision equals ``test(...).independent`` even where the array
+#: arithmetic (stacked solves, vectorized log/erfc) rounds differently.
+_RECHECK_BAND = 1e-9
+
+
+def _triple_names(names: Sequence[str], x: int, y: int,
+                  z: np.ndarray) -> tuple[str, str, list[str]]:
+    return names[x], names[y], [names[c] for c in z]
 
 
 # --------------------------------------------------------------------------
@@ -104,6 +119,15 @@ def _fisher_z_from_correlation(corr: float, n: int, k: int,
                     statistic=float(statistic))
 
 
+def _fisher_z_p_values(corr: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Array form of :func:`_fisher_z_from_correlation`'s p-value."""
+    dof = n - k - 3
+    if dof <= 0:
+        return np.zeros(len(corr))
+    statistic = math.sqrt(dof) * np.abs(0.5 * np.log((1 + corr) / (1 - corr)))
+    return scipy_special.erfc(statistic / math.sqrt(2))
+
+
 def fisher_z(data: np.ndarray, i: int, j: int,
              conditioning: Sequence[int] = (), alpha: float = 0.05) -> CIResult:
     """Fisher z conditional-independence test on raw column indices."""
@@ -143,26 +167,34 @@ class FisherZTest:
         return _fisher_z_from_correlation(corr, self._data.n_rows,
                                           len(conditioning), self._alpha)
 
-    def test_batch(self, pairs: Sequence[tuple[str, str]],
-                   conditioning: Sequence[str] = ()) -> list[CIResult]:
-        """Test many pairs given one shared conditioning set.
-
-        All pairwise partial correlations fall out of a single Schur
-        complement over the union of the involved columns, so a whole
-        skeleton level-0 sweep costs one covariance pass.
-        """
+    def column_indices(self, names: Sequence[str]) -> np.ndarray:
         idx = self._data.column_index
-        involved = sorted({idx(v) for x, y in pairs for v in (x, y)})
-        position = {column: k for k, column in enumerate(involved)}
-        matrix = self._stats.partial_correlations(
-            involved, [idx(c) for c in conditioning])
-        n, k = self._data.n_rows, len(conditioning)
-        return [
-            _fisher_z_from_correlation(
-                float(matrix[position[idx(x)], position[idx(y)]]), n, k,
-                self._alpha)
-            for x, y in pairs
-        ]
+        return np.array([idx(name) for name in names], dtype=np.intp)
+
+    def decide(self, x: np.ndarray, y: np.ndarray,
+               z: np.ndarray) -> np.ndarray:
+        """Fresh independence decisions for column-index triples.
+
+        ``x`` and ``y`` are ``(m,)`` column indices (see
+        :meth:`column_indices`) and ``z`` an ``(m, k)`` matrix of
+        conditioning columns; entry ``i`` of the boolean result equals
+        ``test(x[i], y[i], z[i]).independent``.  The discovery layer calls
+        this kernel whenever a test has it.  One pass over the epoch's
+        covariance matrix per chunk of triples; the few p-values within
+        ``_RECHECK_BAND`` of alpha are re-decided by :meth:`test`.
+        """
+        n, k = self._data.n_rows, z.shape[1]
+        p = np.empty(len(x))
+        for i in range(0, len(x), _KERNEL_CHUNK):
+            chunk = slice(i, i + _KERNEL_CHUNK)
+            p[chunk] = _fisher_z_p_values(
+                self._stats.partial_correlation_array(x[chunk], y[chunk],
+                                                      z[chunk]), n, k)
+        independent = p > self._alpha
+        for i in np.flatnonzero(np.abs(p - self._alpha) < _RECHECK_BAND):
+            independent[i] = self.test(*_triple_names(
+                self._data.columns, x[i], y[i], z[i])).independent
+        return independent
 
 
 # --------------------------------------------------------------------------
@@ -262,6 +294,7 @@ class MixedCITest:
         self._gsq = GSquareTest(data, alpha=alpha, bins=bins,
                                 stats=self._stats)
         self._max_cells_fraction = max_cells_fraction
+        self._discrete = np.array([data.is_discrete(c) for c in data.columns])
 
     @property
     def alpha(self) -> float:
@@ -271,41 +304,68 @@ class MixedCITest:
     def sufficient_stats(self) -> SufficientStats:
         return self._stats
 
-    def _use_gsquare(self, x: str, y: str,
-                     conditioning: Sequence[str]) -> bool:
-        involved = [x, y, *conditioning]
-        if not all(self._data.is_discrete(c) for c in involved):
-            return False
-        cells = 1
-        for column in involved:
-            cells *= self._stats.cardinality(column)
-        return cells <= max(self._max_cells_fraction * self._data.n_rows, 8)
-
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
-        if self._use_gsquare(x, y, conditioning):
+        idx = self.column_indices([x, y, *conditioning])
+        if self._gsquare_mask(idx[:1], idx[1:2], idx[None, 2:])[0]:
             return self._gsq.test(x, y, conditioning)
         return self._fisher.test(x, y, conditioning)
 
+    def column_indices(self, names: Sequence[str]) -> np.ndarray:
+        return self._fisher.column_indices(names)
+
+    def _gsquare_mask(self, x: np.ndarray, y: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+        """Which column-index triples go to the G-test.
+
+        Those whose columns are all discrete and whose contingency table
+        has at most ``max(max_cells_fraction * n, 8)`` cells.
+        """
+        discrete = self._discrete
+        mask = discrete[x] & discrete[y] & discrete[z].all(axis=1)
+        if not mask.any():
+            return mask
+        cardinality = np.array([
+            float(self._stats.cardinality(c)) if flag else 1.0
+            for c, flag in zip(self._data.columns, discrete)])
+        cells = cardinality[x] * cardinality[y] * cardinality[z].prod(axis=1)
+        limit = max(self._max_cells_fraction * self._data.n_rows, 8)
+        return mask & (cells <= limit)
+
+    def decide(self, x: np.ndarray, y: np.ndarray,
+               z: np.ndarray) -> np.ndarray:
+        """Fresh decisions for column-index triples.
+
+        The kernel contract of :meth:`FisherZTest.decide`.  Triples
+        :meth:`test` would send to the G-test go through it one by one; the
+        rest take :meth:`FisherZTest.decide`'s array pass.
+        """
+        gsquare = self._gsquare_mask(x, y, z)
+        if not gsquare.any():
+            return self._fisher.decide(x, y, z)
+        fisher = ~gsquare
+        independent = np.empty(len(x), dtype=bool)
+        independent[fisher] = self._fisher.decide(x[fisher], y[fisher],
+                                                  z[fisher])
+        names = self._data.columns
+        for i in np.flatnonzero(gsquare):
+            independent[i] = self._gsq.test(
+                *_triple_names(names, x[i], y[i], z[i])).independent
+        return independent
+
     def test_batch(self, pairs: Sequence[tuple[str, str]],
                    conditioning: Sequence[str] = ()) -> list[CIResult]:
-        """Batch variant of :meth:`test` for one shared conditioning set."""
-        fisher_pairs = [(i, pair) for i, pair in enumerate(pairs)
-                        if not self._use_gsquare(*pair, conditioning)]
-        results: list[CIResult | None] = [None] * len(pairs)
-        if fisher_pairs:
-            batch = self._fisher.test_batch([p for _, p in fisher_pairs],
-                                            conditioning)
-            for (i, _), result in zip(fisher_pairs, batch):
-                results[i] = result
-        for i, (x, y) in enumerate(pairs):
-            if results[i] is None:
-                results[i] = self._gsq.test(x, y, conditioning)
-        return results  # type: ignore[return-value]
+        """:meth:`test` for many pairs given one shared conditioning set
+        (an entry point the benchmark's traced run probes)."""
+        return [self.test(x, y, conditioning) for x, y in pairs]
 
 
 # --------------------------------------------------------------------------
 # CI-decision caching across data epochs
+#
+# Not on the learning path: every relearn makes fresh decisions through the
+# kernel.  The cache stays as a kernel-less CITest wrapper and because the
+# benchmark's traced run still probes it (see ROADMAP).
 # --------------------------------------------------------------------------
 @dataclass
 class CICacheCounters:
@@ -315,26 +375,6 @@ class CICacheCounters:
     misses: int = 0
     stale_reused: int = 0
     retests: int = 0
-
-    @property
-    def total_lookups(self) -> int:
-        return self.hits + self.misses + self.stale_reused + self.retests
-
-    def hit_rate(self) -> float:
-        total = self.total_lookups
-        if total == 0:
-            return 0.0
-        return (self.hits + self.stale_reused) / total
-
-
-@dataclass(frozen=True)
-class CIDecision:
-    """One CI decision in a recorded discovery trace."""
-
-    x: str
-    y: str
-    conditioning: tuple[str, ...]
-    independent: bool
 
 
 @dataclass
@@ -351,17 +391,12 @@ class CIDecisionCache:
     lies outside ``[alpha / margin_factor, alpha * margin_factor]`` is far
     from the significance threshold, is overwhelmingly unlikely to flip from
     a handful of extra samples, and is served stale; a borderline decision is
-    evicted so the caller retests it on the fresh data.  This is what makes
-    the warm-started skeleton search incremental — per iteration only the
-    borderline fringe of the previous model is re-examined.
+    evicted so the caller retests it on the fresh data.
 
     Even a confident decision is only served for ``max_stale_epochs``
     consecutive bumps before it is retested: p-values drift as samples
     accumulate, and an unbounded reuse window would let early-epoch decisions
-    diverge arbitrarily from what the data now says.  The forced retests are
-    spread across epochs (entries age at different times), so the
-    per-iteration cost stays a fraction ``1 / max_stale_epochs`` of a full
-    re-learn.
+    diverge arbitrarily from what the data now says.
     """
 
     def __init__(self, alpha: float = 0.05, margin_factor: float = 8.0,
@@ -381,10 +416,6 @@ class CIDecisionCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
 
     @staticmethod
     def _key(x: str, y: str,
@@ -430,25 +461,15 @@ class CIDecisionCache:
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
 
 class CachedCITest:
     """Wrap any :class:`CITest` with a :class:`CIDecisionCache`.
 
     ``epoch_fn`` supplies the current data epoch (normally the backing
     dataset's ``data_epoch``); every decision the inner test produces is
-    recorded and replayed according to the cache's margin policy.
-
-    The wrapper can also *trace* the sequence of decisions it serves
-    (:meth:`start_trace` / :meth:`take_trace`).  A constraint-based search is
-    a deterministic function of its CI-decision sequence, so replaying a
-    recorded trace against fresh data and finding every decision unchanged
-    shows the search would reproduce the same graph — the basis of the
-    incremental fast path.  The check is exact up to the cache's margin
-    policy: decisions it serves stale are compared as-cached, not freshly
-    recomputed, until their reuse window closes.
+    recorded and replayed according to the cache's margin policy.  The
+    wrapper has no ``decide`` kernel, so the skeleton search runs it one
+    test at a time.
     """
 
     def __init__(self, inner, cache: CIDecisionCache,
@@ -456,32 +477,11 @@ class CachedCITest:
         self._inner = inner
         self._cache = cache
         self._epoch_fn = epoch_fn
-        self._trace: list[CIDecision] | None = None
 
     @property
     def alpha(self) -> float:
         return self._inner.alpha
 
-    @property
-    def cache(self) -> CIDecisionCache:
-        return self._cache
-
-    @property
-    def inner(self):
-        return self._inner
-
-    # ---------------------------------------------------------------- tracing
-    def start_trace(self) -> None:
-        """Begin recording every decision served through this wrapper."""
-        self._trace = []
-
-    def take_trace(self) -> list["CIDecision"]:
-        """Stop recording and return the recorded decision sequence."""
-        trace = self._trace if self._trace is not None else []
-        self._trace = None
-        return trace
-
-    # ---------------------------------------------------------------- testing
     def test(self, x: str, y: str,
              conditioning: Sequence[str] = ()) -> CIResult:
         epoch = self._epoch_fn()
@@ -489,33 +489,8 @@ class CachedCITest:
         if result is None:
             result = self._inner.test(x, y, conditioning)
             self._cache.store(x, y, conditioning, epoch, result)
-        if self._trace is not None:
-            self._trace.append(
-                CIDecision(x, y, tuple(conditioning), result.independent))
         return result
 
     def test_batch(self, pairs: Sequence[tuple[str, str]],
                    conditioning: Sequence[str] = ()) -> list[CIResult]:
-        epoch = self._epoch_fn()
-        results: list[CIResult | None] = []
-        missing: list[tuple[int, tuple[str, str]]] = []
-        for i, (x, y) in enumerate(pairs):
-            cached = self._cache.lookup(x, y, conditioning, epoch)
-            results.append(cached)
-            if cached is None:
-                missing.append((i, (x, y)))
-        if missing:
-            inner_batch = getattr(self._inner, "test_batch", None)
-            if inner_batch is not None:
-                fresh = inner_batch([p for _, p in missing], conditioning)
-            else:
-                fresh = [self._inner.test(x, y, conditioning)
-                         for _, (x, y) in missing]
-            for (i, (x, y)), result in zip(missing, fresh):
-                self._cache.store(x, y, conditioning, epoch, result)
-                results[i] = result
-        if self._trace is not None:
-            for (x, y), result in zip(pairs, results):
-                self._trace.append(
-                    CIDecision(x, y, tuple(conditioning), result.independent))
-        return results  # type: ignore[return-value]
+        return [self.test(x, y, conditioning) for x, y in pairs]

@@ -9,9 +9,8 @@ codes and cardinalities — and updates them incrementally as rows arrive.
 
 From the cross-product matrix every (partial) correlation follows by a Schur
 complement, so a Fisher z test costs one small ``k x k`` solve instead of two
-least-squares fits over the raw rows, and a *batch* of tests sharing one
-conditioning set costs a single solve for all pairs at once
-(:meth:`partial_correlations`).
+least-squares fits over the raw rows, and :meth:`partial_correlation_array`
+serves the CI kernel many triples in one array pass.
 
 Synchronisation is epoch-based: the backing :class:`~repro.stats.dataset.Dataset`
 bumps ``data_epoch`` on every in-place append, and every accessor here calls
@@ -21,7 +20,6 @@ and drops the per-epoch code caches.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +31,14 @@ from repro.stats.discretize import discretize_column
 _CORR_CLAMP = 0.9999999
 #: Variances below this are treated as zero (constant column).
 _VAR_EPS = 1e-24
+
+
+def _solve_or_pinv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b``, through the pseudo-inverse when ``a`` is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(a) @ b
 
 
 class SufficientStats:
@@ -122,71 +128,59 @@ class SufficientStats:
         return self._cov
 
     def correlation(self, i: int, j: int) -> float:
-        cov = self.covariance()
-        return self._normalise(cov[i, j], cov[i, i], cov[j, j])
+        return self.partial_correlation(i, j)
 
     # ------------------------------------------- partial correlations (Schur)
-    def partial_correlations(self, targets: Sequence[int],
-                             conditioning: Sequence[int] = ()
-                             ) -> np.ndarray:
-        """Partial correlations of every ``targets`` pair given ``conditioning``.
-
-        Computed from the covariance matrix by one Schur complement:
-        ``S = C_TT - C_TZ C_ZZ^{-1} C_ZT`` is the conditional covariance of
-        the target block, and normalising its off-diagonal entries yields the
-        partial correlations — the same quantity as correlating the residuals
-        of per-column least-squares regressions on the conditioning block,
-        without touching the raw rows.
-        """
-        cov = self.covariance()
-        t = list(targets)
-        block = cov[np.ix_(t, t)]
-        z = list(conditioning)
-        if z:
-            czz = cov[np.ix_(z, z)]
-            ctz = cov[np.ix_(t, z)]
-            try:
-                solved = np.linalg.solve(czz, ctz.T)
-            except np.linalg.LinAlgError:
-                solved = np.linalg.pinv(czz) @ ctz.T
-            block = block - ctz @ solved
-        out = np.empty((len(t), len(t)))
-        diag = np.diag(block)
-        for a in range(len(t)):
-            out[a, a] = 1.0
-            for b in range(a + 1, len(t)):
-                r = self._normalise(block[a, b], diag[a], diag[b])
-                out[a, b] = out[b, a] = r
-        return out
-
     def partial_correlation(self, i: int, j: int,
                             conditioning: Sequence[int] = ()) -> float:
-        z = list(conditioning)
-        if len(z) <= 1:
-            # Scalar fast path for the dominant cases of the skeleton search
-            # (empty and singleton conditioning sets): plain arithmetic on
-            # cached covariance entries, no submatrix assembly or solve.
-            cov = self.covariance()
-            if not z:
-                return self._normalise(cov[i, j], cov[i, i], cov[j, j])
-            k = z[0]
-            ckk = cov[k, k]
-            if ckk < _VAR_EPS:
-                return self._normalise(cov[i, j], cov[i, i], cov[j, j])
-            s_ij = cov[i, j] - cov[i, k] * cov[j, k] / ckk
-            s_ii = cov[i, i] - cov[i, k] ** 2 / ckk
-            s_jj = cov[j, j] - cov[j, k] ** 2 / ckk
-            return self._normalise(s_ij, s_ii, s_jj)
-        return float(self.partial_correlations([i, j], z)[0, 1])
+        """Partial correlation of columns ``i`` and ``j`` given
+        ``conditioning``: :meth:`partial_correlation_array` of one triple."""
+        z = np.array([list(conditioning)], dtype=np.intp).reshape(1, -1)
+        return float(self.partial_correlation_array(
+            np.array([i]), np.array([j]), z)[0])
 
-    @staticmethod
-    def _normalise(cov_ij: float, var_i: float, var_j: float) -> float:
-        if var_i < _VAR_EPS or var_j < _VAR_EPS:
-            return 0.0
-        r = cov_ij / math.sqrt(var_i * var_j)
-        if math.isnan(r):
-            return 0.0
-        return max(-_CORR_CLAMP, min(_CORR_CLAMP, r))
+    def partial_correlation_array(self, x: np.ndarray, y: np.ndarray,
+                                  z: np.ndarray) -> np.ndarray:
+        """Partial correlations of many column-index triples at once.
+
+        ``x`` and ``y`` are ``(m,)`` column indices and ``z`` is an ``(m, k)``
+        matrix of conditioning columns (one size ``k`` per call).  Computed
+        from the covariance matrix by a Schur complement:
+        ``S = C_TT - C_TZ C_ZZ^{-1} C_ZT`` is the conditional covariance of
+        the pair ``T = (x, y)``, and normalising it yields the partial
+        correlation — the same quantity as correlating the residuals of
+        least-squares regressions on ``Z``, without touching the raw rows.
+        Closed form for ``k <= 1`` (a conditioning column without variance
+        is left out), one stacked ``k x k`` solve for larger sets (through
+        the pseudo-inverse where a block is singular).
+        """
+        cov = self.covariance()
+        sxy, sxx, syy = cov[x, y], cov[x, x], cov[y, y]
+        if z.shape[1] == 1:
+            c = z[:, 0]
+            ckk = cov[c, c]
+            cxk, cyk = cov[x, c], cov[y, c]
+            use = ckk >= _VAR_EPS
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sxy = np.where(use, sxy - cxk * cyk / ckk, sxy)
+                sxx = np.where(use, sxx - cxk ** 2 / ckk, sxx)
+                syy = np.where(use, syy - cyk ** 2 / ckk, syy)
+        elif z.shape[1] > 1:
+            t = np.stack([x, y], axis=1)
+            czz = cov[z[:, :, None], z[:, None, :]]
+            ctz = cov[t[:, :, None], z[:, None, :]]
+            rhs = ctz.transpose(0, 2, 1)
+            try:
+                solved = np.linalg.solve(czz, rhs)
+            except np.linalg.LinAlgError:
+                solved = np.stack([_solve_or_pinv(a, b)
+                                   for a, b in zip(czz, rhs)])
+            block = cov[t[:, :, None], t[:, None, :]] - ctz @ solved
+            sxy, sxx, syy = block[:, 0, 1], block[:, 0, 0], block[:, 1, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = sxy / np.sqrt(sxx * syy)
+        r[(sxx < _VAR_EPS) | (syy < _VAR_EPS) | np.isnan(r)] = 0.0
+        return np.clip(r, -_CORR_CLAMP, _CORR_CLAMP, out=r)
 
     # ----------------------------------------------------- discrete summaries
     def codes(self, column: str, bins: int = 8) -> np.ndarray:

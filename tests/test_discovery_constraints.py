@@ -22,16 +22,18 @@ def test_role_lookup(constraints):
 
 
 def test_option_option_adjacency_forbidden(constraints):
-    assert not constraints.adjacency_allowed("o1", "o2")
-    assert constraints.adjacency_allowed("o1", "e1")
-    assert constraints.adjacency_allowed("e1", "y")
+    allowed = constraints.adjacency_matrix(["o1", "o2", "e1", "y"])
+    assert not allowed[0, 1] and not allowed[1, 0]
+    assert allowed[0, 2] and allowed[2, 0]
+    assert allowed[2, 3]
+    assert not allowed.diagonal().any()
 
 
 def test_option_option_adjacency_can_be_enabled():
     constraints = StructuralConstraints.from_variable_lists(
         options=["a", "b"], events=[], objectives=["y"],
         forbid_option_option_edges=False)
-    assert constraints.adjacency_allowed("a", "b")
+    assert constraints.adjacency_matrix(["a", "b"])[0, 1]
 
 
 def test_direction_rules(constraints):

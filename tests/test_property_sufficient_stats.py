@@ -11,6 +11,8 @@ consumes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -116,16 +118,19 @@ def test_partial_correlations_match_naive_recomputation(plan, payload):
     naive = _naive_partial_correlation(data.values, i, j, conditioning)
     assert abs(incremental - naive) < ATOL
 
-    # The all-pairs batch path (one Schur complement) must agree with the
-    # pairwise path entry by entry.
-    matrix = stats.partial_correlations(columns[:3] if len(columns) >= 3
-                                        else columns, conditioning=[])
-    targets = columns[:3] if len(columns) >= 3 else columns
-    for a_pos, a in enumerate(targets):
-        for b_pos, b in enumerate(targets):
-            if a_pos < b_pos:
-                naive_ab = _naive_partial_correlation(data.values, a, b, [])
-                assert abs(matrix[a_pos, b_pos] - naive_ab) < ATOL
+    # The array path (many triples in one pass) must agree with the naive
+    # recomputation triple by triple.
+    pairs = list(itertools.combinations(columns[:4], 2))
+    x = np.array([a for a, _ in pairs], dtype=np.intp)
+    y = np.array([b for _, b in pairs], dtype=np.intp)
+    z = np.array([conditioning] * len(pairs), dtype=np.intp).reshape(
+        len(pairs), k)
+    keep = [t for t, (a, b) in enumerate(pairs) if not {a, b} & set(z[0])]
+    batch = stats.partial_correlation_array(x[keep], y[keep], z[keep])
+    for r, t in zip(batch, keep):
+        naive_ab = _naive_partial_correlation(data.values, x[t], y[t],
+                                              conditioning)
+        assert abs(r - naive_ab) < ATOL
 
 
 @given(growth_plans())
@@ -145,7 +150,7 @@ def test_batch_fisher_z_matches_raw_data_tests(plan):
 
     for conditioning in conditionings:
         wanted = pairs if not conditioning else pairs_cond
-        batch = test.test_batch(wanted, conditioning)
+        batch = [test.test(x, y, conditioning) for x, y in wanted]
         cond_idx = [int(c[1:]) for c in conditioning]
         for (x, y), result in zip(wanted, batch):
             naive = fisher_z(data.values, int(x[1:]), int(y[1:]),

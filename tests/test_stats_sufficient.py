@@ -37,11 +37,17 @@ def test_partial_correlation_matches_regression_residuals(data):
 
 def test_batch_partial_correlations_match_singles(data):
     stats = SufficientStats(data)
-    matrix = stats.partial_correlations([0, 1, 3], [2])
-    for (a, b), (i, j) in [((0, 1), (0, 1)), ((0, 2), (0, 3)),
-                           ((1, 2), (1, 3))]:
-        assert matrix[a, b] == pytest.approx(
-            stats.partial_correlation(i, j, [2]), abs=1e-12)
+    pairs = [(0, 1, [2]), (0, 3, [2]), (1, 3, [2]), (0, 1, []), (1, 3, [])]
+    for size in (0, 1):
+        chosen = [t for t in pairs if len(t[2]) == size]
+        batch = stats.partial_correlation_array(
+            np.array([t[0] for t in chosen]), np.array([t[1] for t in chosen]),
+            np.array([t[2] for t in chosen], dtype=np.intp).reshape(
+                len(chosen), size))
+        for (i, j, cond), r in zip(chosen, batch):
+            assert r == stats.partial_correlation(i, j, cond)
+            assert r == pytest.approx(
+                _partial_correlation(data.values, i, j, cond), abs=1e-10)
 
 
 def test_incremental_append_matches_fresh_stats(data):
